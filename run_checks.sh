@@ -5,10 +5,8 @@
 #   1. format check      clang-format --dry-run over src/ and tests/
 #   2. default build     RDP_WERROR=ON + full ctest suite
 #   3. lint              determinism-contract checks (DESIGN.md §15):
-#                        rdp_lint over every src/ file, ctest -L lint
-#                        (fixture regressions for each rdp-* check), and —
-#                        when the rdp-tidy plugin was built — a clang-tidy
-#                        -load pass with the rdp-* AST checks
+#                        rdp_lint over every src/ file and ctest -L lint
+#                        (fixture regressions for each rdp-* check)
 #   4. clang-tidy        over src/ via the exported compile_commands.json
 #   5. scalar build      RDP_SIMD=scalar build + full ctest suite (the
 #                        portable fallback backend must pass everything the
@@ -23,20 +21,21 @@
 #                        equivalence), and ctest -L persist (durable
 #                        checkpoint format + crash/resume kill-point
 #                        matrix, DESIGN.md §16)
+#                        The default build also runs ctest -L golden
+#                        (pinned end-to-end output digests).
 #
 # Any failing step fails the script (non-zero exit). Tools missing from the
-# host (clang-format / clang-tidy / the rdp-tidy plugin) skip their step
-# with a notice so the script stays usable on gcc-only machines — the
-# portable rdp_lint gate and the test gates always run. With --strict a
-# missing tool is a FAILED gate instead of a notice: CI hosts that are
-# supposed to have the full Clang toolchain must not pass by silently
-# skipping it.
+# host (clang-format / clang-tidy) skip their step with a notice so the
+# script stays usable on gcc-only machines — the rdp_lint gate and the test
+# gates always run. With --strict a missing tool is a FAILED gate instead
+# of a notice: CI hosts that are supposed to have the full Clang toolchain
+# must not pass by silently skipping it.
 #
 # Usage: ./run_checks.sh [--fast] [--strict]
 #   --fast     skip the sanitizer matrix (format + build + tests + lint +
 #              tidy only)
-#   --strict   missing clang-format/clang-tidy/rdp-tidy plugin fails the
-#              run instead of skipping with a notice
+#   --strict   missing clang-format/clang-tidy fails the run instead of
+#              skipping with a notice
 
 set -u
 
@@ -85,9 +84,7 @@ missing_tool() {
 
 # ---- 1. format check (skip when clang-format is unavailable) --------------
 # tests/lint_fixtures holds deliberately-bad code the lint checks must fire
-# on (lint input, not source) and tools/rdp-tidy follows upstream LLVM
-# style so it diffs cleanly against clang-tidy examples; both stay outside
-# the repo-style format gate.
+# on (lint input, not source), so it stays outside the format gate.
 note "format check"
 if command -v clang-format >/dev/null 2>&1; then
     mapfile -t SOURCES < <(find src tests tools/rdp-lint \
@@ -111,6 +108,7 @@ if cmake -B build-checks -S . -DRDP_WERROR=ON >/dev/null &&
     require_label build-checks poisson
     require_label build-checks simd
     require_label build-checks persist
+    require_label build-checks golden
     if ! ctest --test-dir build-checks --output-on-failure -j "$JOBS"; then
         record_failure "default ctest"
     fi
@@ -119,12 +117,10 @@ else
 fi
 
 # ---- 3. lint: the static determinism contract (DESIGN.md §15) -------------
-# Three layers, strongest available wins, none silently absent:
-#   a. rdp_lint (portable, built above) over every src/ source file
+# Two layers, neither silently absent:
+#   a. rdp_lint (built above) over every src/ source file
 #   b. ctest -L lint — fixture regressions proving each rdp-* check still
 #      fires on its bad fixture and stays silent on its good twin
-#   c. when the host's Clang dev install built the rdp-tidy plugin, the
-#      same five checks as real AST matchers via clang-tidy -load
 note "lint (determinism contract)"
 RDP_LINT_BIN=build-checks/tools/rdp-lint/rdp_lint
 if [[ -x "$RDP_LINT_BIN" ]]; then
@@ -142,34 +138,13 @@ if require_label build-checks lint; then
         record_failure "lint fixture tests (ctest -L lint)"
     fi
 fi
-RDP_TIDY_PLUGIN_SO=build-checks/tools/rdp-tidy/librdp_tidy_module.so
-TIDY_LOAD_ARGS=()
-if [[ -f "$RDP_TIDY_PLUGIN_SO" ]]; then
-    TIDY_LOAD_ARGS=(-load "$RDP_TIDY_PLUGIN_SO")
-    if command -v clang-tidy >/dev/null 2>&1; then
-        mapfile -t LINT_TIDY_SOURCES < <(find src -name '*.cpp' | sort)
-        if ! clang-tidy "${TIDY_LOAD_ARGS[@]}" -checks='-*,rdp-*' \
-                 --warnings-as-errors='rdp-*' -p build-checks --quiet \
-                 "${LINT_TIDY_SOURCES[@]}"; then
-            record_failure "rdp-tidy plugin checks over src/"
-        fi
-    else
-        missing_tool "clang-tidy (for the rdp-tidy plugin pass)"
-    fi
-else
-    missing_tool "rdp-tidy plugin (no Clang development install)"
-fi
 
 # ---- 4. clang-tidy over src/ (skip when unavailable) ----------------------
-# When the rdp-tidy plugin exists it is loaded here too, so the rdp-* glob
-# in .clang-tidy resolves and the contract checks run alongside the stock
-# bug-finding families.
 note "clang-tidy"
 if command -v clang-tidy >/dev/null 2>&1; then
     if [[ -f build-checks/compile_commands.json ]]; then
         mapfile -t TIDY_SOURCES < <(find src -name '*.cpp' | sort)
-        if ! clang-tidy "${TIDY_LOAD_ARGS[@]}" -p build-checks --quiet \
-                 "${TIDY_SOURCES[@]}"; then
+        if ! clang-tidy -p build-checks --quiet "${TIDY_SOURCES[@]}"; then
             record_failure "clang-tidy"
         fi
     else

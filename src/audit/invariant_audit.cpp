@@ -163,9 +163,7 @@ void check_incremental_route(const GridF& dem_h, const GridF& dem_v,
                                paths);
 }
 
-void check_congestion_map(const CongestionMap& cmap) {
-    if (!audit_enabled()) return;
-    note_run("congestion-finite");
+bool congestion_map_valid(const CongestionMap& cmap, std::string& msg) {
     const GridF& dmd = cmap.demand();
     const GridF& cap = cmap.capacity();
     for (int y = 0; y < dmd.height(); ++y) {
@@ -178,9 +176,18 @@ void check_congestion_map(const CongestionMap& cmap) {
             std::ostringstream oss;
             oss << "congestion map at G-cell (" << x << ", " << y
                 << ") is invalid: demand " << dv << ", capacity " << cv;
-            fail("congestion-finite", oss.str());
+            msg = oss.str();
+            return false;
         }
     }
+    return true;
+}
+
+void check_congestion_map(const CongestionMap& cmap) {
+    if (!audit_enabled()) return;
+    note_run("congestion-finite");
+    std::string msg;
+    if (!congestion_map_valid(cmap, msg)) fail("congestion-finite", msg);
 }
 
 void check_spectral_finite(const char* what, const GridF& potential,

@@ -42,6 +42,7 @@
 // the active stage on violation; they never mutate placement or routing
 // results. All of them are no-ops unless audit_enabled().
 
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -94,6 +95,9 @@ void check_incremental_route(const GridF& dem_h, const GridF& dem_v,
 
 /// Finite, non-negative demand and capacity in every G-cell of `cmap`.
 void check_congestion_map(const CongestionMap& cmap);
+/// The same predicate, usable with audits off: false (and a description
+/// of the first invalid G-cell in `msg`) when one exists.
+bool congestion_map_valid(const CongestionMap& cmap, std::string& msg);
 
 /// Every entry of a spectral solve's potential and field grids is finite.
 /// `what` names the solve ("density", "congestion", ...). Grid references

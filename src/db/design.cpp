@@ -67,6 +67,19 @@ std::vector<int> Design::movable_cells() const {
     return out;
 }
 
+std::vector<Vec2> Design::positions(const std::vector<int>& ids) const {
+    std::vector<Vec2> pos(ids.size());
+    for (size_t i = 0; i < ids.size(); ++i)
+        pos[i] = cells[static_cast<size_t>(ids[i])].pos;
+    return pos;
+}
+
+void Design::set_positions(const std::vector<int>& ids,
+                           const std::vector<Vec2>& pos) {
+    for (size_t i = 0; i < ids.size(); ++i)
+        cells[static_cast<size_t>(ids[i])].pos = pos[i];
+}
+
 std::vector<int> Design::macro_cells() const {
     std::vector<int> out;
     for (int i = 0; i < num_cells(); ++i)

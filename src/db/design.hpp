@@ -113,6 +113,10 @@ public:
 
     /// Indices of all movable cells.
     std::vector<int> movable_cells() const;
+    /// Positions of cells `ids`, in order, and the matching write-back.
+    std::vector<Vec2> positions(const std::vector<int>& ids) const;
+    void set_positions(const std::vector<int>& ids,
+                       const std::vector<Vec2>& pos);
     /// Indices of all macros.
     std::vector<int> macro_cells() const;
 

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include <iomanip>
-#include <limits>
 #include <sstream>
 
 #include "audit/invariant_audit.hpp"
@@ -16,9 +15,8 @@
 #include "place/nesterov.hpp"
 #include "place/objective.hpp"
 #include "place/routability_loop.hpp"
-#include "recover/checkpoint.hpp"
+#include "recover/divergence.hpp"
 #include "recover/durable_checkpoint.hpp"
-#include "recover/fault_injection.hpp"
 #include "recover/kill_points.hpp"
 #include "recover/stage_guard.hpp"
 #include "util/log.hpp"
@@ -56,6 +54,170 @@ uint64_t durable_fingerprint(const Design& d, const PlacerConfig& cfg) {
        << "|seed=" << cfg.seed;
     const std::string text = ss.str();
     return recover::fnv1a64(text.data(), text.size());
+}
+
+constexpr const char* kWirelengthStage = "wirelength-gp";
+
+/// Stage 1 of Fig. 2: wirelength-driven GP. Its loop state is one
+/// PipelineSnapshot (`st_`); the solver owns positions and momentum
+/// between captures.
+class WirelengthStage {
+public:
+    WirelengthStage(Design& d, const std::vector<int>& movable,
+                    PlacementObjective& obj, const PlacerConfig& cfg,
+                    recover::DurableCheckpointer& durable, PlaceResult& res)
+        : d_(d),
+          movable_(movable),
+          obj_(obj),
+          cfg_(cfg),
+          durable_(durable),
+          res_(res),
+          guard_(kWirelengthStage, cfg.recover, &res.recovery),
+          checks_(d, movable, cfg.recover, guard_.active(), kWirelengthStage,
+                  "iteration"),
+          solver_(d.positions(movable)) {}
+
+    /// Run the stage from its entry state, or from `resume` (stage 1).
+    void run(const recover::PipelineSnapshot* resume);
+
+private:
+    /// One iteration; true once the stop criterion is met. Throws on
+    /// divergence.
+    bool iterate();
+    /// Recovery ladder: roll back to the rollback point with a halved step
+    /// and a tightened lambda schedule. False once retries are exhausted
+    /// (the stage then finishes on the rollback point).
+    bool recover(recover::FaultKind kind, const char* what);
+
+    Design& d_;
+    const std::vector<int>& movable_;
+    PlacementObjective& obj_;
+    const PlacerConfig& cfg_;
+    recover::DurableCheckpointer& durable_;
+    PlaceResult& res_;
+    recover::StageGuard guard_;
+    recover::DivergenceChecks checks_;
+    NesterovSolver solver_;
+    std::vector<Vec2> grad_;
+    recover::PipelineSnapshot st_;
+    recover::RollbackPoint ckpt_;
+    size_t hist_at_ckpt_ = 0;  ///< overflow-history mark of `ckpt_`
+};
+
+void WirelengthStage::run(const recover::PipelineSnapshot* resume) {
+    const double bin = std::max(obj_.grid().bin_w(), obj_.grid().bin_h());
+    st_.stage = recover::kStageWirelength;
+    st_.lambda1_growth = cfg_.lambda1_growth;
+    st_.cur.gamma = cfg_.gamma_frac * bin;
+    // lambda_1 initialization: ||grad W||_1 / ||grad D||_1.
+    obj_.set_lambda1(0.0);
+    const ObjectiveTerms t0 =
+        obj_.evaluate(d_, movable_, solver_.reference(), grad_);
+    st_.cur.lambda1 = t0.density_grad_l1 > 0.0
+                          ? t0.wl_grad_l1 / t0.density_grad_l1
+                          : 1.0;
+    if (resume != nullptr) {
+        // Rebuild the optimizer exactly as serialized: positions plus the
+        // full momentum state, under the snapshot's (possibly
+        // recovery-adjusted) step and schedule knobs. The iterations from
+        // here on are bitwise identical to the uninterrupted run.
+        st_ = *resume;
+        solver_ = NesterovSolver(std::move(st_.cur.pos),
+                                 NesterovConfig{st_.initial_step});
+        solver_.restore(st_.opt);
+        res_.wl_iters = st_.iter;
+        RDP_LOG_INFO() << "resumed wirelength-gp at iteration " << st_.iter;
+    }
+    obj_.set_lambda1(st_.cur.lambda1);
+    obj_.set_gamma(st_.cur.gamma);
+
+    while (st_.iter < cfg_.max_wl_iters) {
+        if (guard_.over_budget(st_.iter)) break;
+        if (guard_.active() &&
+            (!ckpt_.valid() ||
+             st_.iter - ckpt_.iter >= cfg_.recover.checkpoint_every)) {
+            ckpt_ = {st_.iter, st_.cur};
+            ckpt_.at.pos = solver_.solution();
+            hist_at_ckpt_ = res_.overflow_history.size();
+        }
+        if (durable_.enabled() && st_.iter % durable_.every() == 0) {
+            st_.cur.pos = solver_.solution();
+            st_.opt = solver_.snapshot();
+            durable_.save(st_);
+        }
+        recover::crash::maybe_kill("wl-mid");
+        try {
+            if (iterate()) break;
+        } catch (const recover::RecoverableError& e) {
+            if (!recover(e.kind(), e.what())) break;
+        } catch (const AuditFailure& e) {
+            if (!guard_.active()) throw;
+            if (!recover(recover::classify_audit_failure(e), e.what())) break;
+        }
+    }
+    d_.set_positions(movable_, solver_.solution());
+}
+
+bool WirelengthStage::iterate() {
+    if (checks_.explosion_fires(st_.iter))
+        solver_ = NesterovSolver(checks_.fling(solver_.solution()),
+                                 NesterovConfig{st_.initial_step});
+    const ObjectiveTerms terms =
+        obj_.evaluate(d_, movable_, solver_.reference(), grad_);
+    checks_.objective(terms.wirelength + terms.density + terms.overflow,
+                      terms.wirelength, ckpt_.at.last_wl, st_.iter);
+    res_.overflow_history.push_back(terms.overflow);
+    checks_.gradient(grad_, true, st_.iter, st_.iter);
+    solver_.step(grad_, checks_.project());
+    st_.cur.lambda1 *= st_.lambda1_growth;
+    obj_.set_lambda1(st_.cur.lambda1);
+    const double bin = std::max(obj_.grid().bin_w(), obj_.grid().bin_h());
+    st_.cur.gamma =
+        std::max(st_.cur.gamma * cfg_.gamma_decay, cfg_.gamma_min_frac * bin);
+    obj_.set_gamma(st_.cur.gamma);
+    ++res_.wl_iters;
+    st_.cur.last_wl = terms.wirelength;
+    if (cfg_.verbose && st_.iter % 50 == 0) {
+        RDP_LOG_INFO() << "[wl-iter " << st_.iter
+                       << "] overflow=" << terms.overflow
+                       << " WA=" << terms.wirelength;
+    }
+    const bool done = terms.overflow < cfg_.stop_overflow && st_.iter > 20;
+    ++st_.iter;
+    return done;
+}
+
+bool WirelengthStage::recover(recover::FaultKind kind, const char* what) {
+    const bool retry = guard_.allow_retry(kind, st_.iter, what);
+    if (ckpt_.valid()) {
+        if (retry) {
+            st_.initial_step *= cfg_.recover.step_shrink;
+            st_.lambda1_growth = 1.0 + (st_.lambda1_growth - 1.0) *
+                                           cfg_.recover.lambda_tighten;
+        }
+        // Rollback: positions, lambda_1, gamma, and the overflow history.
+        solver_ = NesterovSolver(ckpt_.at.pos,
+                                 NesterovConfig{st_.initial_step});
+        st_.cur.lambda1 = ckpt_.at.lambda1;
+        st_.cur.gamma = ckpt_.at.gamma;
+        obj_.set_lambda1(st_.cur.lambda1);
+        obj_.set_gamma(st_.cur.gamma);
+        res_.overflow_history.resize(hist_at_ckpt_);
+        res_.wl_iters = ckpt_.iter;
+        st_.iter = ckpt_.iter;
+    }
+    if (!retry) {
+        guard_.degrade(kind, st_.iter,
+                       "retries exhausted; finishing on the last checkpoint");
+        return false;
+    }
+    ++res_.recovery.rollbacks;
+    std::ostringstream oss;
+    oss << "restored checkpoint of iteration " << ckpt_.iter << "; step x"
+        << cfg_.recover.step_shrink << ", lambda1 growth -> "
+        << st_.lambda1_growth;
+    guard_.record(kind, st_.iter, "rollback", oss.str());
+    return true;
 }
 
 }  // namespace
@@ -143,232 +305,13 @@ PlaceResult GlobalPlacer::place(const Design& input) const {
                            cfg_.gamma_frac *
                                std::max(grid.bin_w(), grid.bin_h()));
 
-    auto project = [&](size_t slot, Vec2 p) {
-        const Cell& c = d.cells[static_cast<size_t>(movable[slot])];
-        const Rect r = d.region;
-        return Vec2{std::clamp(p.x, r.lx + c.width / 2, r.hx - c.width / 2),
-                    std::clamp(p.y, r.ly + c.height / 2, r.hy - c.height / 2)};
-    };
-
     // ---- Stage 1: wirelength-driven GP ------------------------------------
     // Skipped entirely when resuming from a routability-stage snapshot:
     // everything it would compute is superseded by the snapshot state.
     if (!resume_stage2) {
-        const AuditStageScope audit_scope("wirelength-gp");
-        recover::StageGuard sguard("wirelength-gp", cfg_.recover,
-                                   &res.recovery);
-        std::vector<Vec2> pos(movable.size());
-        for (size_t i = 0; i < movable.size(); ++i)
-            pos[i] = d.cells[static_cast<size_t>(movable[i])].pos;
-        // Recovery-adjustable knobs; identical to the configured values on
-        // a clean run (the recovery ladder is the only writer).
-        NesterovConfig nes_cfg;
-        double lambda1_growth = cfg_.lambda1_growth;
-        NesterovSolver solver(pos, nes_cfg);
-        std::vector<Vec2> grad;
-
-        const double gamma0 =
-            cfg_.gamma_frac * std::max(grid.bin_w(), grid.bin_h());
-        const double gamma_min =
-            cfg_.gamma_min_frac * std::max(grid.bin_w(), grid.bin_h());
-        double gamma = gamma0;
-
-        // lambda_1 initialization: ||grad W||_1 / ||grad D||_1.
-        obj.set_lambda1(0.0);
-        {
-            const ObjectiveTerms t0terms =
-                obj.evaluate(d, movable, solver.reference(), grad);
-            const double l1 =
-                t0terms.density_grad_l1 > 0.0
-                    ? t0terms.wl_grad_l1 / t0terms.density_grad_l1
-                    : 1.0;
-            obj.set_lambda1(l1);
-        }
-
-        // Physical wirelength bound (one die span per net), the floor of
-        // the explosion threshold: early-stage spreading legitimately
-        // grows the WA total many-fold and must never false-positive.
-        double die_bound = d.region.width() + d.region.height();
-        {
-            int nets = 0;
-            for (const Net& n : d.nets)
-                if (n.degree() >= 2) ++nets;
-            die_bound *= static_cast<double>(std::max(nets, 1));
-        }
-
-        recover::StageCheckpoint ckpt;
-        size_t hist_at_ckpt = 0;
-        double last_wl = 0.0;
-
-        int it = 0;
-        if (resume && resume->stage == recover::kStageWirelength) {
-            // Rebuild the optimizer exactly as serialized: positions plus
-            // the full momentum state, under the snapshot's (possibly
-            // recovery-adjusted) step and schedule knobs. The iterations
-            // from here on are bitwise identical to the uninterrupted run.
-            it = resume->iter;
-            res.wl_iters = resume->iter;
-            nes_cfg.initial_step = resume->initial_step;
-            lambda1_growth = resume->lambda1_growth;
-            solver = NesterovSolver(resume->pos, nes_cfg);
-            solver.restore(resume->opt);
-            obj.set_lambda1(resume->lambda1);
-            gamma = resume->gamma;
-            obj.set_gamma(gamma);
-            last_wl = resume->last_wl;
-            RDP_LOG_INFO() << "resumed wirelength-gp at iteration " << it;
-        }
-        // Recovery ladder for the wirelength stage: roll back to the last
-        // checkpoint with a halved step and a tightened lambda schedule.
-        // Returns false once retries are exhausted (stage degrades to the
-        // checkpoint state).
-        auto apply_recovery = [&](recover::FaultKind kind,
-                                  const char* what) -> bool {
-            const bool retry = sguard.allow_retry(kind, it, what);
-            if (ckpt.valid()) {
-                if (retry) {
-                    nes_cfg.initial_step *= cfg_.recover.step_shrink;
-                    lambda1_growth = 1.0 + (lambda1_growth - 1.0) *
-                                               cfg_.recover.lambda_tighten;
-                }
-                solver = NesterovSolver(ckpt.pos, nes_cfg);
-                obj.set_lambda1(ckpt.lambda1);
-                gamma = ckpt.gamma;
-                obj.set_gamma(gamma);
-                res.overflow_history.resize(hist_at_ckpt);
-                res.wl_iters = ckpt.iter;
-                it = ckpt.iter;
-            }
-            if (!retry) {
-                sguard.degrade(kind, it,
-                               "retries exhausted; finishing on the last"
-                               " checkpoint");
-                return false;
-            }
-            ++res.recovery.rollbacks;
-            std::ostringstream oss;
-            oss << "restored checkpoint of iteration " << ckpt.iter
-                << "; step x" << cfg_.recover.step_shrink
-                << ", lambda1 growth -> " << lambda1_growth;
-            sguard.record(kind, it, "rollback", oss.str());
-            return true;
-        };
-
-        while (it < cfg_.max_wl_iters) {
-            if (sguard.over_budget(it)) break;
-            if (sguard.active() &&
-                (!ckpt.valid() ||
-                 it - ckpt.iter >= cfg_.recover.checkpoint_every)) {
-                ckpt.iter = it;
-                ckpt.pos = solver.solution();
-                ckpt.lambda1 = obj.lambda1();
-                ckpt.gamma = gamma;
-                ckpt.wirelength = last_wl;
-                hist_at_ckpt = res.overflow_history.size();
-            }
-            if (durable.enabled() && it % durable.every() == 0) {
-                recover::PipelineSnapshot snap;
-                snap.stage = recover::kStageWirelength;
-                snap.iter = it;
-                snap.pos = solver.solution();
-                snap.opt = solver.snapshot();
-                snap.lambda1 = obj.lambda1();
-                snap.gamma = gamma;
-                snap.lambda1_growth = lambda1_growth;
-                snap.initial_step = nes_cfg.initial_step;
-                snap.last_wl = last_wl;
-                durable.save(snap);
-            }
-            recover::crash::maybe_kill("wl-mid");
-            try {
-                if (sguard.active() &&
-                    recover::fault::fire("wirelength-gp",
-                                         recover::FaultKind::HpwlExplosion,
-                                         it)) {
-                    // Fling the optimizer state far outside the die.
-                    std::vector<Vec2> blown = solver.solution();
-                    const Vec2 c = d.region.center();
-                    for (Vec2& p : blown)
-                        p = {c.x + (p.x - c.x) * 1e4,
-                             c.y + (p.y - c.y) * 1e4};
-                    solver = NesterovSolver(std::move(blown), nes_cfg);
-                }
-                const ObjectiveTerms terms =
-                    obj.evaluate(d, movable, solver.reference(), grad);
-                if (sguard.active()) {
-                    // Divergence detection (observe-only): non-finite
-                    // terms, or wirelength beyond k x checkpoint/die bound.
-                    const double tsum = terms.wirelength + terms.density +
-                                        terms.overflow;
-                    if (!std::isfinite(tsum)) {
-                        std::ostringstream oss;
-                        oss << "non-finite objective terms at iteration "
-                            << it;
-                        throw recover::RecoverableError(
-                            recover::FaultKind::GradientNaN,
-                            "wirelength-gp", oss.str());
-                    }
-                    const double bound =
-                        cfg_.recover.hpwl_explosion_factor *
-                        std::max(ckpt.wirelength, die_bound);
-                    if (terms.wirelength > bound) {
-                        std::ostringstream oss;
-                        oss << "WA wirelength " << terms.wirelength
-                            << " exceeds the explosion bound " << bound;
-                        throw recover::RecoverableError(
-                            recover::FaultKind::HpwlExplosion,
-                            "wirelength-gp", oss.str());
-                    }
-                }
-                res.overflow_history.push_back(terms.overflow);
-                if (sguard.active() && !grad.empty() &&
-                    recover::fault::fire("wirelength-gp",
-                                         recover::FaultKind::GradientNaN,
-                                         it))
-                    grad[0].x = std::numeric_limits<double>::quiet_NaN();
-                if (sguard.active()) {
-                    // Catch non-finite gradients before they step: a NaN
-                    // position would poison every later evaluation (and the
-                    // grid index casts behind it).
-                    for (size_t gi = 0; gi < grad.size(); ++gi) {
-                        if (std::isfinite(grad[gi].x) &&
-                            std::isfinite(grad[gi].y))
-                            continue;
-                        std::ostringstream oss;
-                        oss << "non-finite gradient of slot " << gi
-                            << " at iteration " << it;
-                        throw recover::RecoverableError(
-                            recover::FaultKind::GradientNaN,
-                            "wirelength-gp", oss.str());
-                    }
-                }
-                solver.step(grad, project);
-                obj.set_lambda1(obj.lambda1() * lambda1_growth);
-                gamma = std::max(gamma * cfg_.gamma_decay, gamma_min);
-                obj.set_gamma(gamma);
-                ++res.wl_iters;
-                last_wl = terms.wirelength;
-                if (cfg_.verbose && it % 50 == 0) {
-                    RDP_LOG_INFO()
-                        << "[wl-iter " << it << "] overflow="
-                        << terms.overflow << " WA=" << terms.wirelength;
-                }
-                const bool done =
-                    terms.overflow < cfg_.stop_overflow && it > 20;
-                ++it;
-                if (done) break;
-            } catch (const recover::RecoverableError& e) {
-                if (!apply_recovery(e.kind(), e.what())) break;
-            } catch (const AuditFailure& e) {
-                if (!sguard.active()) throw;
-                if (!apply_recovery(recover::classify_audit_failure(e),
-                                    e.what()))
-                    break;
-            }
-        }
-        const std::vector<Vec2>& sol = solver.solution();
-        for (size_t i = 0; i < movable.size(); ++i)
-            d.cells[static_cast<size_t>(movable[i])].pos = sol[i];
+        const AuditStageScope audit_scope(kWirelengthStage);
+        WirelengthStage(d, movable, obj, cfg_, durable, res)
+            .run(resume ? &*resume : nullptr);
     }
 
     // ---- Stage 2: routability-driven GP ------------------------------------
@@ -377,6 +320,16 @@ PlaceResult GlobalPlacer::place(const Design& input) const {
         const std::vector<PGRail> rails = select_pg_rails(d, cfg_.rail_select);
         recover::StageGuard sguard("routability-gp", cfg_.recover,
                                    &res.recovery);
+        // The stage handles in-loop failures itself; anything escaping
+        // (entry/exit audits) skips the optional stage: the stage-1
+        // placement continues into legalization.
+        const auto skip = [&](recover::FaultKind kind, const char* what) {
+            obj.set_congestion(nullptr, nullptr);
+            obj.set_extra_density(nullptr);
+            obj.set_inflation(nullptr);
+            sguard.degrade(kind, -1,
+                           std::string("routability stage skipped: ") + what);
+        };
         try {
             const RoutabilityStats rs = run_routability_stage(
                 d, movable, obj, cfg_, rails, first_filler, &durable,
@@ -391,24 +344,11 @@ PlaceResult GlobalPlacer::place(const Design& input) const {
             res.recovery.rollbacks += rs.recovery.rollbacks;
             res.recovery.degraded_stages += rs.recovery.degraded_stages;
         } catch (const AuditFailure& e) {
-            // The stage handles in-loop failures itself; anything escaping
-            // (entry/exit audits) skips the optional stage: the stage-1
-            // placement continues into legalization.
             if (!sguard.active()) throw;
-            obj.set_congestion(nullptr, nullptr);
-            obj.set_extra_density(nullptr);
-            obj.set_inflation(nullptr);
-            sguard.degrade(recover::classify_audit_failure(e), -1,
-                           std::string("routability stage skipped: ") +
-                               e.what());
+            skip(recover::classify_audit_failure(e), e.what());
         } catch (const recover::RecoverableError& e) {
             if (!sguard.active()) throw;
-            obj.set_congestion(nullptr, nullptr);
-            obj.set_extra_density(nullptr);
-            obj.set_inflation(nullptr);
-            sguard.degrade(e.kind(), -1,
-                           std::string("routability stage skipped: ") +
-                               e.what());
+            skip(e.kind(), e.what());
         }
     }
 

@@ -8,85 +8,65 @@
 namespace rdp {
 
 NesterovSolver::NesterovSolver(std::vector<Vec2> initial, NesterovConfig cfg)
-    : cfg_(cfg), u_(initial), v_(std::move(initial)) {}
+    : cfg_(cfg) {
+    s_.u = initial;
+    s_.v = std::move(initial);
+}
 
 void NesterovSolver::step(const std::vector<Vec2>& grad,
                           const std::function<Vec2(size_t, Vec2)>& project) {
-    RDP_ASSERT(grad.size() == v_.size(),
-               "gradient has " << grad.size() << " entries for " << v_.size()
-                               << " solver points");
-    assert(grad.size() == v_.size());
-    const size_t n = v_.size();
+    RDP_ASSERT(grad.size() == s_.v.size(),
+               "gradient has " << grad.size() << " entries for "
+                               << s_.v.size() << " solver points");
+    assert(grad.size() == s_.v.size());
+    const size_t n = s_.v.size();
 
     // Steplength: BB inverse-Lipschitz estimate once history exists, with
     // growth clamped so one noisy estimate cannot blow up the trajectory.
     double alpha = cfg_.initial_step;
-    if (have_prev_) {
+    if (s_.have_prev) {
         double dv2 = 0.0, dg2 = 0.0;
         for (size_t i = 0; i < n; ++i) {
-            dv2 += (v_[i] - prev_v_[i]).norm2();
-            dg2 += (grad[i] - prev_g_[i]).norm2();
+            dv2 += (s_.v[i] - s_.prev_v[i]).norm2();
+            dg2 += (grad[i] - s_.prev_g[i]).norm2();
         }
         if (dg2 > 0.0) alpha = std::sqrt(dv2 / dg2);
         if (!(alpha > 0.0) || !std::isfinite(alpha)) alpha = cfg_.initial_step;
-        if (last_alpha_ > 0.0)
-            alpha = std::min(alpha, cfg_.max_step_growth * last_alpha_);
+        if (s_.last_alpha > 0.0)
+            alpha = std::min(alpha, cfg_.max_step_growth * s_.last_alpha);
     }
     alpha = std::clamp(alpha, cfg_.min_step, cfg_.max_step);
     RDP_CHECK_FINITE(alpha, "Barzilai-Borwein steplength");
-    last_alpha_ = alpha;
+    s_.last_alpha = alpha;
 
     // Adaptive restart (O'Donoghue & Candes): when the gradient points
     // along the momentum direction, the momentum is carrying the iterate
     // uphill — drop it. Prevents the oscillation/divergence BB steps can
     // trigger on ill-conditioned objectives.
-    if (have_prev_) {
+    if (s_.have_prev) {
         double along = 0.0;
-        for (size_t i = 0; i < n; ++i) along += grad[i].dot(v_[i] - u_[i]);
-        if (along > 0.0) a_ = 1.0;
+        for (size_t i = 0; i < n; ++i)
+            along += grad[i].dot(s_.v[i] - s_.u[i]);
+        if (along > 0.0) s_.a = 1.0;
     }
 
-    prev_v_ = v_;
-    prev_g_ = grad;
-    have_prev_ = true;
+    s_.prev_v = s_.v;
+    s_.prev_g = grad;
+    s_.have_prev = true;
 
     // u_{k+1} = v_k - alpha grad; v_{k+1} = u_{k+1} + coef (u_{k+1} - u_k).
-    const double a_next = (1.0 + std::sqrt(4.0 * a_ * a_ + 1.0)) / 2.0;
-    const double coef = (a_ - 1.0) / a_next;
+    const double a_next = (1.0 + std::sqrt(4.0 * s_.a * s_.a + 1.0)) / 2.0;
+    const double coef = (s_.a - 1.0) / a_next;
     for (size_t i = 0; i < n; ++i) {
-        Vec2 u_next = v_[i] - grad[i] * alpha;
+        Vec2 u_next = s_.v[i] - grad[i] * alpha;
         if (project) u_next = project(i, u_next);
-        Vec2 v_next = u_next + (u_next - u_[i]) * coef;
+        Vec2 v_next = u_next + (u_next - s_.u[i]) * coef;
         if (project) v_next = project(i, v_next);
-        u_[i] = u_next;
-        v_[i] = v_next;
+        s_.u[i] = u_next;
+        s_.v[i] = v_next;
     }
-    a_ = a_next;
-    ++k_;
-}
-
-recover::OptimizerSnapshot NesterovSolver::snapshot() const {
-    recover::OptimizerSnapshot s;
-    s.u = u_;
-    s.v = v_;
-    s.prev_v = prev_v_;
-    s.prev_g = prev_g_;
-    s.a = a_;
-    s.k = k_;
-    s.last_alpha = last_alpha_;
-    s.have_prev = have_prev_;
-    return s;
-}
-
-void NesterovSolver::restore(const recover::OptimizerSnapshot& s) {
-    u_ = s.u;
-    v_ = s.v;
-    prev_v_ = s.prev_v;
-    prev_g_ = s.prev_g;
-    a_ = s.a;
-    k_ = s.k;
-    last_alpha_ = s.last_alpha;
-    have_prev_ = s.have_prev;
+    s_.a = a_next;
+    ++s_.k;
 }
 
 }  // namespace rdp

@@ -34,9 +34,9 @@ public:
     NesterovSolver(std::vector<Vec2> initial, NesterovConfig cfg = {});
 
     /// Point to evaluate the objective gradient at (v_k).
-    const std::vector<Vec2>& reference() const { return v_; }
+    const std::vector<Vec2>& reference() const { return s_.v; }
     /// Best-known solution (u_k).
-    const std::vector<Vec2>& solution() const { return u_; }
+    const std::vector<Vec2>& solution() const { return s_.u; }
 
     /// Advance one iteration using grad = d f / d v evaluated at reference().
     /// `project` is applied to every proposed point (e.g. clamping into the
@@ -44,25 +44,18 @@ public:
     void step(const std::vector<Vec2>& grad,
               const std::function<Vec2(size_t, Vec2)>& project);
 
-    int iteration() const { return k_; }
-    double last_step_length() const { return last_alpha_; }
+    int iteration() const { return s_.k; }
+    double last_step_length() const { return s_.last_alpha; }
 
     /// Complete momentum state for durable checkpoints (DESIGN.md §16).
     /// restore() onto a freshly constructed solver reproduces the iterate
     /// sequence bit for bit from the captured iteration.
-    recover::OptimizerSnapshot snapshot() const;
-    void restore(const recover::OptimizerSnapshot& s);
+    const recover::OptimizerSnapshot& snapshot() const { return s_; }
+    void restore(const recover::OptimizerSnapshot& s) { s_ = s; }
 
 private:
     NesterovConfig cfg_;
-    std::vector<Vec2> u_;       // solution
-    std::vector<Vec2> v_;       // reference
-    std::vector<Vec2> prev_v_;  // v_{k-1}
-    std::vector<Vec2> prev_g_;  // grad_{k-1}
-    double a_ = 1.0;
-    int k_ = 0;
-    double last_alpha_ = 0.0;
-    bool have_prev_ = false;
+    recover::OptimizerSnapshot s_;  // the whole iterate/momentum state
 };
 
 }  // namespace rdp

@@ -22,8 +22,7 @@ ObjectiveTerms PlacementObjective::evaluate(Design& d,
     // int bin index) before the gradient checks below could see it.
     if (audit_enabled())
         audit::check_gradients_finite("input position", pos);
-    for (size_t i = 0; i < movable.size(); ++i)
-        d.cells[static_cast<size_t>(movable[i])].pos = pos[i];
+    d.set_positions(movable, pos);
 
     ObjectiveTerms terms;
     terms.lambda1 = lambda1_;

@@ -10,7 +10,7 @@
 #include "audit/invariant_audit.hpp"
 #include "congestion/rudy.hpp"
 #include "pinaccess/dynamic_density.hpp"
-#include "recover/checkpoint.hpp"
+#include "recover/divergence.hpp"
 #include "recover/durable_checkpoint.hpp"
 #include "recover/fault_injection.hpp"
 #include "recover/kill_points.hpp"
@@ -73,41 +73,6 @@ namespace {
 
 constexpr const char* kStage = "routability-gp";
 
-/// Physical upper bound on any in-region WA wirelength: one die span
-/// (width + height) per routed net. The explosion threshold is floored at
-/// a multiple of this so legitimate many-fold wirelength growth (early
-/// spreading) can never false-positive.
-double die_wirelength_bound(const Design& d) {
-    int nets = 0;
-    for (const Net& n : d.nets)
-        if (n.degree() >= 2) ++nets;
-    return (d.region.width() + d.region.height()) *
-           static_cast<double>(std::max(nets, 1));
-}
-
-/// Recovery-side mirror of audit::check_congestion_map for runs with the
-/// audits compiled out or disabled: same predicate, RecoverableError
-/// instead of AuditFailure.
-bool find_invalid_gcell(const CongestionMap& cmap, std::string& msg) {
-    const GridF& dmd = cmap.demand();
-    const GridF& cap = cmap.capacity();
-    for (int y = 0; y < dmd.height(); ++y) {
-        for (int x = 0; x < dmd.width(); ++x) {
-            const double dv = dmd.at(x, y);
-            const double cv = cap.at(x, y);
-            if (std::isfinite(dv) && dv >= 0.0 && std::isfinite(cv) &&
-                cv >= 0.0)
-                continue;
-            std::ostringstream oss;
-            oss << "demand/capacity at G-cell (" << x << ", " << y
-                << ") is invalid: " << dv << " / " << cv;
-            msg = oss.str();
-            return true;
-        }
-    }
-    return false;
-}
-
 /// True when the last `flips` deltas of `window` alternate in sign and
 /// each swings by at least `amplitude` of the smaller endpoint — the
 /// outer-loop overflow is bouncing instead of converging.
@@ -129,6 +94,558 @@ bool overflow_oscillates(const std::vector<double>& window, int flips,
     return true;
 }
 
+/// The routability-driven outer loop. Its loop state is one
+/// PipelineSnapshot (`st_`); the inflation scheme owns the inflation
+/// history between captures, and `cmap_` is the working map of the
+/// current attempt.
+class RoutabilityStage {
+public:
+    RoutabilityStage(Design& d, const std::vector<int>& movable,
+                     PlacementObjective& obj, const PlacerConfig& cfg,
+                     const std::vector<PGRail>& rails, int first_filler,
+                     recover::DurableCheckpointer* durable,
+                     RoutabilityStats& stats)
+        : d_(d),
+          movable_(movable),
+          obj_(obj),
+          cfg_(cfg),
+          first_filler_(first_filler),
+          durable_(durable),
+          stats_(stats),
+          grid_(obj.grid()),
+          guard_(kStage, cfg.recover, &stats.recovery),
+          checks_(d, movable, cfg.recover, guard_.active(), kStage,
+                  "inner iteration"),
+          // Incremental congestion estimation (RDP_INCREMENTAL, default
+          // on): persistent router / RUDY caches threaded through every
+          // estimation of this stage. Pure performance: bitwise identical
+          // to from-scratch estimation. RDP_REBUILD_EPOCH bounds cache
+          // lifetime with a deterministic periodic full rebuild (0
+          // disables the epoch; see DESIGN.md §12).
+          incremental_(env::flag_or("RDP_INCREMENTAL", true)),
+          field_(grid_),
+          scheme_(make_inflation_scheme(cfg, d.num_cells())),
+          rail_area_(rail_area_per_bin(rails, grid_)) {
+        inc_route_.rebuild_epoch = static_cast<int>(
+            env::int_or("RDP_REBUILD_EPOCH", 16, 0, 1 << 20));
+    }
+
+    /// Run the stage from its entry state, or from `resume` (stage 2).
+    void run(const recover::PipelineSnapshot* resume);
+
+private:
+    /// The live iterate, inflation history pulled from the scheme.
+    recover::PipelineSnapshot::Iterate capture() const {
+        recover::PipelineSnapshot::Iterate at = st_.cur;
+        at.inflation = scheme_->snapshot();
+        return at;
+    }
+    /// Record the live iterate as best-so-far, scored `severe`.
+    void keep_best(double severe, int iter) {
+        st_.best.at = capture();
+        st_.best.overflow = severe;
+        st_.best.extra_area = grid_sum(st_.extra);
+        st_.best.iter = iter;
+    }
+    /// (Re)build the router under the live relaxation knobs.
+    void rebuild_router();
+    /// One outer iteration; true once the stop criterion is met. Throws on
+    /// divergence.
+    bool iterate();
+    /// Recovery ladder. False once retries are exhausted: the loop then
+    /// stops and the stage finishes on its best snapshot.
+    bool recover(recover::FaultKind kind, const char* what);
+    /// Score the final positions too, then restore the best snapshot.
+    void finish();
+
+    Design& d_;
+    const std::vector<int>& movable_;
+    PlacementObjective& obj_;
+    const PlacerConfig& cfg_;
+    const int first_filler_;
+    recover::DurableCheckpointer* durable_;
+    RoutabilityStats& stats_;
+    const BinGrid& grid_;
+    recover::StageGuard guard_;
+    recover::DivergenceChecks checks_;
+    const bool incremental_;
+    IncrementalRouteState inc_route_;
+    IncrementalRudyState inc_rudy_;
+    std::unique_ptr<GlobalRouter> router_;
+    CongestionField field_;
+    std::unique_ptr<InflationScheme> scheme_;
+    const GridF rail_area_;
+    CongestionMap cmap_;
+    recover::PipelineSnapshot st_;
+    recover::RollbackPoint ckpt_;
+};
+
+void RoutabilityStage::run(const recover::PipelineSnapshot* resume) {
+    // Entry state. Static PG density (Xplace-Route style) is fixed before
+    // the loop; the optimizer continues from the stage-1 result.
+    st_.stage = recover::kStageRoutability;
+    st_.lambda1_growth = cfg_.lambda1_growth;
+    st_.dc = cfg_.mode == PlacerMode::Ours && cfg_.enable_dc;
+    st_.dpa = cfg_.mode == PlacerMode::Ours && cfg_.enable_dpa;
+    st_.router_overflow_penalty = cfg_.router.overflow_penalty;
+    for (const LayerSpec& l : cfg_.router.layers)
+        st_.router_layer_capacity.push_back(l.capacity);
+    st_.cur.ratios.assign(static_cast<size_t>(d_.num_cells()), 1.0);
+    st_.extra = static_pg_density(rail_area_, cfg_.static_pg_weight);
+    st_.cur.pos = d_.positions(movable_);
+    st_.cur.gamma = obj_.gamma();
+    st_.best_metric = std::numeric_limits<double>::max();
+    // The best snapshot is taken before the iteration's inflation update,
+    // so the state it was scored with is the *current* ratios/extra charge.
+    keep_best(std::numeric_limits<double>::max(), -1);
+    obj_.set_inflation(&st_.cur.ratios);
+    obj_.set_extra_density(&st_.extra);
+    obj_.set_lambda2_scale(cfg_.dc_weight);
+
+    if (resume == nullptr) {
+        // Fresh lambda_1 for the stage: the stage-1 schedule leaves it
+        // orders of magnitude above the gradient balance a converged
+        // placement needs.
+        std::vector<Vec2> grad0;
+        obj_.set_lambda1(0.0);
+        const ObjectiveTerms t0 =
+            obj_.evaluate(d_, movable_, st_.cur.pos, grad0);
+        const double ratio = t0.density_grad_l1 > 0.0
+                                 ? t0.wl_grad_l1 / t0.density_grad_l1
+                                 : 1.0;
+        st_.cur.lambda1 = cfg_.route_lambda1_boost * ratio;
+    } else {
+        // Durable resume (DESIGN.md §16): the snapshot is the whole loop
+        // state. Push its object-owned parts back, then drop the
+        // incremental caches exactly as a recovery rollback does (they
+        // reconcile against positions this process never routed). The
+        // remaining iterations are then bitwise identical to the
+        // uninterrupted run.
+        st_ = *resume;
+        d_.set_positions(movable_, st_.cur.pos);
+        scheme_->restore(st_.cur.inflation);
+        // Stage 1 was skipped, so the objective still carries its
+        // construction-time gamma, not the decayed stage-1 result.
+        obj_.set_gamma(st_.cur.gamma);
+        stats_.outer_iters = st_.iter;
+        inc_route_.invalidate();
+        inc_rudy_.invalidate();
+        RDP_LOG_INFO() << "resumed " << kStage << " at outer iteration "
+                       << st_.iter;
+    }
+    obj_.set_lambda1(st_.cur.lambda1);
+    rebuild_router();
+
+    while (st_.iter < cfg_.max_route_iters) {
+        if (guard_.over_budget(st_.iter)) break;
+        // Rollback point, captured once per outer iteration: every retry
+        // of the iteration rolls back to the state it started from.
+        if (guard_.active() && ckpt_.iter != st_.iter)
+            ckpt_ = {st_.iter, capture()};
+        // Durable journal entry at every outer boundary: an outer
+        // iteration routes the whole design, so the snapshot cost is
+        // noise against the body it fronts.
+        if (durable_ != nullptr && durable_->enabled()) {
+            st_.cur.inflation = scheme_->snapshot();
+            durable_->save(st_);
+        }
+        recover::crash::maybe_kill("route-mid");
+        // Stats entries of a failed attempt are rolled back with it.
+        const size_t mark_overflow = stats_.total_overflow.size();
+        const size_t mark_inflation = stats_.mean_inflation.size();
+        const size_t mark_penalty = stats_.penalty.size();
+        const auto fail = [&](recover::FaultKind kind, const char* what) {
+            stats_.total_overflow.resize(mark_overflow);
+            stats_.mean_inflation.resize(mark_inflation);
+            stats_.penalty.resize(mark_penalty);
+            st_.osc_window.clear();
+            return recover(kind, what);
+        };
+        try {
+            if (iterate()) break;
+        } catch (const recover::RecoverableError& e) {
+            if (!fail(e.kind(), e.what())) break;
+        } catch (const AuditFailure& e) {
+            if (!guard_.active()) throw;
+            if (!fail(recover::classify_audit_failure(e), e.what())) break;
+        }
+    }
+    finish();
+}
+
+void RoutabilityStage::rebuild_router() {
+    RouterConfig rc = cfg_.router;
+    rc.overflow_penalty = st_.router_overflow_penalty;
+    if (st_.router_layer_capacity.size() == rc.layers.size())
+        for (size_t i = 0; i < rc.layers.size(); ++i)
+            rc.layers[i].capacity = st_.router_layer_capacity[i];
+    router_ = std::make_unique<GlobalRouter>(grid_, rc);
+}
+
+bool RoutabilityStage::iterate() {
+    const int outer = st_.iter;
+    // 1. Congestion estimation on current positions -> map (Eq. 3): a full
+    //    global route (the paper) or RUDY (router-free).
+    int rrr_executed = 0;
+    int rrr_stalled = 0;
+    if (st_.use_ckpt_cmap && st_.cmap_demand.width() > 0) {
+        st_.use_ckpt_cmap = false;
+        cmap_ = CongestionMap(grid_, st_.cmap_demand, st_.cmap_capacity);
+    } else if (cfg_.use_rudy_congestion) {
+        cmap_ = rudy_congestion(d_, grid_, cfg_.router, {},
+                                incremental_ ? &inc_rudy_ : nullptr);
+    } else {
+        const RouteResult rr =
+            router_->route(d_, incremental_ ? &inc_route_ : nullptr);
+        cmap_ = rr.congestion;
+        rrr_executed = rr.rrr_rounds_executed;
+        rrr_stalled = rr.rrr_rounds_stalled;
+        stats_.route_conns_total += rr.inc_conns_total;
+        stats_.route_conns_rerouted += rr.inc_conns_rerouted;
+        // Fault-injection site (stage "global-route", distinct from the
+        // kStage sites below): corrupt the *persistent* phase-A demand
+        // after a successful route. The next route() call's
+        // incremental-route auditor must trip on the stale cache and
+        // recovery must invalidate it.
+        if (guard_.active() && incremental_ &&
+            recover::fault::fire("global-route",
+                                 recover::FaultKind::CorruptedDemand,
+                                 outer) &&
+            inc_route_.dem_h.width() > 0) {
+            inc_route_.dem_h.at(0, 0) += 1.0;
+        }
+    }
+
+    // Fault-injection sites (inert unless a matching spec is armed): the
+    // site corrupts its own state, detection below must catch it.
+    if (guard_.active()) {
+        using recover::FaultKind;
+        const auto fires = [&](FaultKind kind) {
+            return recover::fault::fire(kStage, kind, outer);
+        };
+        const auto corrupt = [&](auto&& edit) {
+            GridF dmd = cmap_.demand();
+            edit(dmd);
+            cmap_ = CongestionMap(grid_, std::move(dmd), cmap_.capacity());
+        };
+        if (fires(FaultKind::CorruptedDemand))
+            corrupt([](GridF& g) {
+                g.at(0, 0) = std::numeric_limits<double>::quiet_NaN();
+            });
+        if (fires(FaultKind::RouterNoProgress)) {
+            // Simulate the livelock symptom: absurd demand that every RRR
+            // round failed to improve.
+            corrupt([](GridF& g) { grid_scale(g, 1e9); });
+            rrr_executed = std::max(rrr_executed, 1);
+            rrr_stalled = rrr_executed;
+        }
+        // Every other iteration sees 64x demand: the overflow window
+        // alternates huge/normal until detected.
+        if (fires(FaultKind::OverflowOscillation) && outer % 2 == 0)
+            corrupt([](GridF& g) { grid_scale(g, 64.0); });
+    }
+
+    // Divergence detection: corrupted demand. The auditor throws
+    // AuditFailure (classified by the caller); when audits are off the
+    // recovery layer runs the same predicate itself.
+    audit::check_congestion_map(cmap_);
+    if (guard_.active() && !audit_enabled()) {
+        std::string msg;
+        if (!audit::congestion_map_valid(cmap_, msg))
+            throw recover::RecoverableError(
+                recover::FaultKind::CorruptedDemand, kStage, msg);
+    }
+
+    stats_.total_overflow.push_back(cmap_.total_overflow());
+    // Keep the best-routed snapshot under the severity-weighted overflow
+    // (the quantity detailed-routing violations track): the stage must
+    // never end worse than it started.
+    const double severe = cmap_.weighted_overflow();
+
+    // Divergence detection: router livelock — every RRR round stalled
+    // while the overflow is beyond anything a healthy run produces.
+    if (guard_.active() && rrr_executed > 0 && rrr_stalled == rrr_executed &&
+        severe > cfg_.recover.router_livelock_overflow) {
+        std::ostringstream oss;
+        oss << "all " << rrr_executed
+            << " RRR rounds stalled at weighted overflow " << severe;
+        throw recover::RecoverableError(recover::FaultKind::RouterNoProgress,
+                                        kStage, oss.str());
+    }
+    // Divergence detection: outer-loop overflow oscillation.
+    if (guard_.active()) {
+        st_.osc_window.push_back(severe);
+        if (overflow_oscillates(st_.osc_window, cfg_.recover.osc_flips,
+                                cfg_.recover.osc_amplitude)) {
+            std::ostringstream oss;
+            oss << "weighted overflow alternated " << cfg_.recover.osc_flips
+                << " times (last " << severe << ")";
+            throw recover::RecoverableError(
+                recover::FaultKind::OverflowOscillation, kStage, oss.str());
+        }
+    }
+
+    if (severe < st_.best.overflow * (1.0 - cfg_.keep_best_margin))
+        keep_best(severe, outer);
+
+    // 3'. Dynamic pin-accessibility density adjustment (Eq. 13-15) is
+    //     refreshed first so its charge is known to the budget.
+    if (st_.dpa) {
+        st_.extra = dynamic_pg_density(rail_area_, cmap_);
+        grid_scale(st_.extra, cfg_.dpa_weight);
+        obj_.set_extra_density(&st_.extra);
+    }
+
+    // 2. Momentum-based (or baseline) cell inflation update, budgeted
+    //    (together with the PG charge) against the filler whitespace so the
+    //    density stays feasible.
+    std::vector<double>& ratios = st_.cur.ratios;
+    scheme_->update(d_, cmap_);
+    ratios = scheme_->ratios();
+    const double extra_area = grid_sum(st_.extra);
+    budget_inflation(d_, first_filler_, ratios, cfg_.inflation_budget_frac,
+                     extra_area);
+    if (guard_.active() &&
+        recover::fault::fire(kStage, recover::FaultKind::CorruptedBudget,
+                             outer) &&
+        !ratios.empty()) {
+        ratios[0] = -1.0;
+    }
+    // Invariant audit: the budgeted ratios must balance — real-cell area
+    // growth inside the filler budget, uniform filler shrink.
+    if (audit_enabled()) {
+        audit::check_inflation_budget(d_, first_filler_, ratios,
+                                      cfg_.inflation_budget_frac, extra_area);
+    } else if (guard_.active()) {
+        for (size_t i = 0; i < ratios.size(); ++i) {
+            if (std::isfinite(ratios[i]) && ratios[i] > 0.0) continue;
+            std::ostringstream oss;
+            oss << "inflation ratio of cell " << i
+                << " is invalid: " << ratios[i];
+            throw recover::RecoverableError(
+                recover::FaultKind::CorruptedBudget, kStage, oss.str());
+        }
+    }
+    {
+        double acc = 0.0;
+        int n = 0;
+        for (int ci : movable_) {
+            if (ci >= first_filler_) continue;
+            acc += ratios[static_cast<size_t>(ci)];
+            ++n;
+        }
+        stats_.mean_inflation.push_back(n > 0 ? acc / n : 1.0);
+    }
+
+    // 4. Congestion potential field for the DC term (the bounding-box
+    //    baseline model needs only the map, not the field).
+    if (st_.dc) {
+        obj_.set_dc_model(cfg_.use_bbox_dc_model ? DcModel::BoundingBox
+                                                 : DcModel::NetMoving);
+        if (!cfg_.use_bbox_dc_model) field_.build(cmap_);
+        obj_.set_congestion(&cmap_,
+                            cfg_.use_bbox_dc_model ? nullptr : &field_);
+    }
+
+    // 5. Inner Nesterov iterations on Eq. (5).
+    const NesterovConfig nes_cfg{st_.initial_step};
+    NesterovSolver solver(st_.cur.pos, nes_cfg);
+    if (checks_.explosion_fires(outer))
+        solver = NesterovSolver(checks_.fling(st_.cur.pos), nes_cfg);
+    std::vector<Vec2> grad;
+    double penalty = 0.0;
+    double attempt_wl = st_.cur.last_wl;
+    for (int it = 0; it < cfg_.inner_iters; ++it) {
+        const ObjectiveTerms terms =
+            obj_.evaluate(d_, movable_, solver.reference(), grad);
+        checks_.gradient(grad, it == 0, outer, it);
+        checks_.objective(terms.wirelength + terms.density + terms.congestion,
+                          terms.wirelength, ckpt_.at.last_wl, it);
+        penalty = terms.congestion;
+        solver.step(grad, checks_.project());
+        // Keep the ePlace lambda_1 schedule only while the density target
+        // is not met; once spread, wirelength/congestion lead.
+        if (terms.overflow > cfg_.stop_overflow) {
+            st_.cur.lambda1 *= st_.lambda1_growth;
+            obj_.set_lambda1(st_.cur.lambda1);
+        }
+        attempt_wl = terms.wirelength;
+    }
+    // Last line of defense before NaN positions reach the design: scan the
+    // solution once (observe-only).
+    const std::vector<Vec2>& sol = solver.solution();
+    if (guard_.active()) {
+        for (size_t i = 0; i < sol.size(); ++i) {
+            if (std::isfinite(sol[i].x) && std::isfinite(sol[i].y)) continue;
+            std::ostringstream oss;
+            oss << "non-finite solution position of slot " << i;
+            throw recover::RecoverableError(recover::FaultKind::GradientNaN,
+                                            kStage, oss.str());
+        }
+    }
+    st_.cur.pos = sol;
+    d_.set_positions(movable_, st_.cur.pos);
+    st_.cur.last_wl = attempt_wl;
+    // The iteration completed: its map is the new last-good map.
+    st_.cmap_demand = cmap_.demand();
+    st_.cmap_capacity = cmap_.capacity();
+    stats_.penalty.push_back(penalty);
+    ++stats_.outer_iters;
+
+    if (cfg_.verbose) {
+        RDP_LOG_INFO() << "[route-iter " << outer
+                       << "] overflow=" << cmap_.total_overflow()
+                       << " C(x,y)=" << penalty
+                       << " inflation=" << stats_.mean_inflation.back();
+    }
+
+    // 6. Stop when the congestion metric no longer decreases (paper:
+    //    "until C(x,y) no longer decreases or the given number of
+    //    iterations is reached"). When DC is off the router overflow serves
+    //    as the metric.
+    const double metric = st_.dc ? penalty : cmap_.weighted_overflow();
+    ++st_.iter;
+    if (metric < st_.best_metric - 1e-9) {
+        st_.best_metric = metric;
+        st_.stall = 0;
+        return false;
+    }
+    return ++st_.stall >= cfg_.stop_patience;
+}
+
+bool RoutabilityStage::recover(recover::FaultKind kind, const char* what) {
+    using recover::FaultKind;
+    const int outer = st_.iter;
+    if (!guard_.allow_retry(kind, outer, what)) {
+        guard_.degrade(kind, outer,
+                       "retries exhausted; finishing on the best snapshot");
+        return false;
+    }
+    switch (kind) {
+        case FaultKind::RouterNoProgress: {
+            // Relax the router capacity model: cheaper overflow and more
+            // effective tracks let the negotiation move again.
+            st_.router_overflow_penalty *= cfg_.recover.router_relax;
+            for (double& c : st_.router_layer_capacity)
+                c /= cfg_.recover.router_relax;
+            rebuild_router();
+            // The relaxed config changes the cached routes' cost model; the
+            // config key would force the rebuild anyway, but drop the cache
+            // explicitly.
+            inc_route_.invalidate();
+            std::ostringstream oss;
+            oss << "overflow penalty -> " << st_.router_overflow_penalty
+                << ", capacity factors x" << 1.0 / cfg_.recover.router_relax;
+            guard_.record(kind, outer, "relax-router", oss.str());
+            break;
+        }
+        case FaultKind::CorruptedDemand: {
+            // The corruption may live in the persistent incremental caches
+            // (that is exactly what the incremental-route auditor detects),
+            // so the retry must never reuse them.
+            inc_route_.invalidate();
+            inc_rudy_.invalidate();
+            // First retry re-routes (transient corruption); further ones
+            // fall back to the last-good map.
+            if (guard_.retries_used() > 1 && st_.cmap_demand.width() > 0) {
+                st_.use_ckpt_cmap = true;
+                guard_.record(kind, outer, "fallback-demand",
+                              "using the last-good congestion map of"
+                              " iteration " + std::to_string(outer - 1));
+            } else {
+                guard_.record(kind, outer, "reroute",
+                              "re-running congestion estimation");
+            }
+            break;
+        }
+        case FaultKind::CorruptedBudget: {
+            // Rollback of the inflation bookkeeping only.
+            if (ckpt_.valid()) {
+                st_.cur.ratios = ckpt_.at.ratios;
+                scheme_->restore(ckpt_.at.inflation);
+            }
+            guard_.record(kind, outer, "reset-inflation",
+                          "restored checkpoint inflation bookkeeping");
+            break;
+        }
+        default: {
+            // GradientNaN / HpwlExplosion / OverflowOscillation /
+            // AuditViolation: roll back and damp the schedule that drove
+            // the divergence. The incremental caches were reconciled
+            // against the *failed* positions; a restored rollback point
+            // must never be scored against them.
+            inc_route_.invalidate();
+            inc_rudy_.invalidate();
+            if (ckpt_.valid()) {
+                // Rollback: positions, lambda_1, ratios, inflation history.
+                st_.cur.pos = ckpt_.at.pos;
+                d_.set_positions(movable_, st_.cur.pos);
+                st_.cur.lambda1 = ckpt_.at.lambda1;
+                obj_.set_lambda1(st_.cur.lambda1);
+                st_.cur.ratios = ckpt_.at.ratios;
+                scheme_->restore(ckpt_.at.inflation);
+            }
+            st_.initial_step *= cfg_.recover.step_shrink;
+            st_.lambda1_growth = 1.0 + (st_.lambda1_growth - 1.0) *
+                                           cfg_.recover.lambda_tighten;
+            ++stats_.recovery.rollbacks;
+            std::ostringstream oss;
+            oss << "restored checkpoint of outer iteration " << ckpt_.iter
+                << "; step x" << cfg_.recover.step_shrink
+                << ", lambda1 growth -> " << st_.lambda1_growth;
+            guard_.record(kind, outer, "rollback", oss.str());
+            if (guard_.retries_used() >= cfg_.recover.max_retries &&
+                (st_.dc || st_.dpa)) {
+                // Last rung: skip the optional congestion-directed terms
+                // for the rest of the stage.
+                st_.dc = false;
+                st_.dpa = false;
+                obj_.set_congestion(nullptr, nullptr);
+                st_.extra =
+                    static_pg_density(rail_area_, cfg_.static_pg_weight);
+                obj_.set_extra_density(&st_.extra);
+                guard_.record(kind, outer, "skip-optional",
+                              "disabled net-moving DC and DPA for the rest"
+                              " of the stage");
+            }
+            break;
+        }
+    }
+    return true;
+}
+
+void RoutabilityStage::finish() {
+    // Restore positions together with the inflation bookkeeping they were
+    // scored with (ratios, extra charge, scheme history), so downstream
+    // consumers never see a mixed state.
+    const double severe =
+        cfg_.use_rudy_congestion
+            ? rudy_congestion(d_, grid_, cfg_.router, {},
+                              incremental_ ? &inc_rudy_ : nullptr)
+                  .weighted_overflow()
+            : router_->route(d_, incremental_ ? &inc_route_ : nullptr)
+                  .congestion.weighted_overflow();
+    if (severe < st_.best.overflow * (1.0 - cfg_.keep_best_margin))
+        keep_best(severe, stats_.outer_iters);
+    const recover::PipelineSnapshot::Best& best = st_.best;
+    d_.set_positions(movable_, best.at.pos);
+    st_.cur.ratios = best.at.ratios;
+    scheme_->restore(best.at.inflation);
+    stats_.best_iter = best.iter;
+    stats_.final_ratios = best.at.ratios;
+    stats_.final_extra_area = best.extra_area;
+    // Re-audit the restored pairing: the bookkeeping must balance for the
+    // snapshot exactly as it did when the snapshot was scored.
+    if (audit_enabled())
+        audit::check_inflation_budget(d_, first_filler_, st_.cur.ratios,
+                                      cfg_.inflation_budget_frac,
+                                      best.extra_area);
+    // Detach state this stage owns before it goes out of scope.
+    obj_.set_congestion(nullptr, nullptr);
+    obj_.set_extra_density(nullptr);
+    obj_.set_inflation(nullptr);
+}
+
 }  // namespace
 
 RoutabilityStats run_routability_stage(
@@ -140,672 +657,9 @@ RoutabilityStats run_routability_stage(
         resume = nullptr;
     const AuditStageScope audit_scope(kStage);
     RoutabilityStats stats;
-    recover::StageGuard guard(kStage, cfg.recover, &stats.recovery);
-    const BinGrid& grid = obj.grid();
-
-    // Recovery-adjustable knobs. On a clean run they keep their configured
-    // values for the whole stage, so behavior is identical to an unguarded
-    // loop; the recovery ladder below is the only writer.
-    RouterConfig router_cfg = cfg.router;
-    auto router = std::make_unique<GlobalRouter>(grid, router_cfg);
-    NesterovConfig nes_cfg;
-
-    // Incremental congestion estimation (RDP_INCREMENTAL, default on):
-    // persistent router / RUDY caches threaded through every estimation of
-    // this stage. Pure performance: route(d, &state) and the incremental
-    // RUDY maps are bitwise identical to their from-scratch counterparts,
-    // so the knob changes wall clock only, never results. RDP_REBUILD_EPOCH
-    // bounds cache lifetime with a deterministic periodic full rebuild
-    // (0 disables the epoch; see DESIGN.md §12).
-    const bool incremental = env::flag_or("RDP_INCREMENTAL", true);
-    IncrementalRouteState inc_route;
-    inc_route.rebuild_epoch = static_cast<int>(
-        env::int_or("RDP_REBUILD_EPOCH", 16, 0, 1 << 20));
-    IncrementalRudyState inc_rudy;
-    double lambda1_growth = cfg.lambda1_growth;
-
-    CongestionField field(grid);
-
-    bool dc = cfg.mode == PlacerMode::Ours && cfg.enable_dc;
-    bool dpa = cfg.mode == PlacerMode::Ours && cfg.enable_dpa;
-
-    auto scheme = make_inflation_scheme(cfg, d.num_cells());
-    std::vector<double> effective_ratios(
-        static_cast<size_t>(d.num_cells()), 1.0);
-    obj.set_inflation(&effective_ratios);
-
-    const GridF rail_area = rail_area_per_bin(selected_rails, grid);
-    // Static PG density (Xplace-Route style): fixed before the loop.
-    GridF extra = static_pg_density(rail_area, cfg.static_pg_weight);
-    obj.set_extra_density(&extra);
-
-    // Optimizer state: continue from the stage-1 result.
-    std::vector<Vec2> pos(movable.size());
-    for (size_t i = 0; i < movable.size(); ++i)
-        pos[i] = d.cells[static_cast<size_t>(movable[i])].pos;
-
-    auto project = [&](size_t slot, Vec2 p) {
-        const Cell& c = d.cells[static_cast<size_t>(movable[slot])];
-        const Rect r = d.region;
-        return Vec2{std::clamp(p.x, r.lx + c.width / 2, r.hx - c.width / 2),
-                    std::clamp(p.y, r.ly + c.height / 2, r.hy - c.height / 2)};
-    };
-
-    double best_metric = std::numeric_limits<double>::max();
-    double best_overflow = std::numeric_limits<double>::max();
-    std::vector<Vec2> best_pos = pos;
-    // Bookkeeping paired with best_pos: the snapshot is taken before the
-    // iteration's inflation update, so the state it was scored with is the
-    // *current* ratios/extra charge — restored together at stage end.
-    std::vector<double> best_ratios = effective_ratios;
-    double best_extra_area = grid_sum(extra);
-    InflationSnapshot best_inflation = scheme->snapshot();
-    int best_iter = -1;
-    int stall = 0;
-    CongestionMap cmap;
-    obj.set_lambda2_scale(cfg.dc_weight);
-
-    // Fresh lambda_1 for the stage: the stage-1 schedule leaves it orders
-    // of magnitude above the gradient balance a converged placement needs.
-    // A resumed run restores the serialized lambda_1 below instead.
-    if (resume == nullptr) {
-        std::vector<Vec2> grad0;
-        obj.set_lambda1(0.0);
-        const ObjectiveTerms t0 = obj.evaluate(d, movable, pos, grad0);
-        const double ratio = t0.density_grad_l1 > 0.0
-                                 ? t0.wl_grad_l1 / t0.density_grad_l1
-                                 : 1.0;
-        obj.set_lambda1(cfg.route_lambda1_boost * ratio);
-    }
-
-    const double die_bound = die_wirelength_bound(d);
-    recover::StageCheckpoint ckpt;
-    std::vector<double> osc_window;  // severity per iter, divergence window
-    double last_wl = 0.0;            // last healthy WA total (explosion base)
-    bool use_ckpt_cmap = false;      // CorruptedDemand fallback, one-shot
-
-    int outer = 0;
-    if (resume != nullptr) {
-        // Durable resume (DESIGN.md §16): restore every input the loop
-        // body reads — positions, schedules, inflation bookkeeping, the
-        // best-so-far snapshot, router relaxations, maps, and divergence
-        // history — then drop the incremental caches exactly as a recovery
-        // rollback does (they reconcile against positions this process
-        // never routed). The remaining iterations are then bitwise
-        // identical to the uninterrupted run.
-        outer = resume->iter;
-        pos = resume->pos;
-        for (size_t i = 0; i < movable.size(); ++i)
-            d.cells[static_cast<size_t>(movable[i])].pos = pos[i];
-        obj.set_lambda1(resume->lambda1);
-        // Stage 1 was skipped, so the objective still carries its
-        // construction-time gamma, not the decayed stage-1 result.
-        obj.set_gamma(resume->gamma);
-        lambda1_growth = resume->lambda1_growth;
-        nes_cfg.initial_step = resume->initial_step;
-        last_wl = resume->last_wl;
-        effective_ratios = resume->ratios;
-        scheme->restore(resume->inflation);
-        extra = resume->extra;  // same object obj points at; content swap
-        best_pos = resume->best_pos;
-        best_ratios = resume->best_ratios;
-        best_inflation = resume->best_inflation;
-        best_metric = resume->best_metric;
-        best_overflow = resume->best_overflow;
-        best_extra_area = resume->best_extra_area;
-        best_iter = resume->best_iter;
-        stall = resume->stall;
-        osc_window = resume->osc_window;
-        stats.outer_iters = resume->iter;
-        dc = resume->dc;
-        dpa = resume->dpa;
-        use_ckpt_cmap = resume->use_ckpt_cmap;
-        router_cfg.overflow_penalty = resume->router_overflow_penalty;
-        if (resume->router_layer_capacity.size() ==
-            router_cfg.layers.size())
-            for (size_t i = 0; i < router_cfg.layers.size(); ++i)
-                router_cfg.layers[i].capacity =
-                    resume->router_layer_capacity[i];
-        router = std::make_unique<GlobalRouter>(grid, router_cfg);
-        if (resume->cmap_demand.width() > 0)
-            cmap = CongestionMap(grid, resume->cmap_demand,
-                                 resume->cmap_capacity);
-        inc_route.invalidate();
-        inc_rudy.invalidate();
-        RDP_LOG_INFO() << "resumed " << kStage << " at outer iteration "
-                       << outer;
-    }
-
-    // Recovery ladder. Returns false once retries are exhausted: the loop
-    // then stops and the stage finishes on its best snapshot.
-    auto apply_recovery = [&](recover::FaultKind kind,
-                              const char* what) -> bool {
-        using recover::FaultKind;
-        if (!guard.allow_retry(kind, outer, what)) {
-            guard.degrade(kind, outer,
-                          "retries exhausted; finishing on the best"
-                          " snapshot");
-            return false;
-        }
-        switch (kind) {
-            case FaultKind::RouterNoProgress: {
-                // Relax the router capacity model: cheaper overflow and
-                // more effective tracks let the negotiation move again.
-                router_cfg.overflow_penalty *= cfg.recover.router_relax;
-                for (LayerSpec& l : router_cfg.layers)
-                    l.capacity /= cfg.recover.router_relax;
-                router = std::make_unique<GlobalRouter>(grid, router_cfg);
-                // The relaxed config changes the cached routes' cost model;
-                // the config key would force the rebuild anyway, but drop
-                // the cache explicitly.
-                inc_route.invalidate();
-                std::ostringstream oss;
-                oss << "overflow penalty -> " << router_cfg.overflow_penalty
-                    << ", capacity factors x"
-                    << 1.0 / cfg.recover.router_relax;
-                guard.record(kind, outer, "relax-router", oss.str());
-                break;
-            }
-            case FaultKind::CorruptedDemand: {
-                // The corruption may live in the persistent incremental
-                // caches (that is exactly what the incremental-route
-                // auditor detects), so the retry must never reuse them.
-                inc_route.invalidate();
-                inc_rudy.invalidate();
-                // First retry re-routes (transient corruption); further
-                // ones fall back to the last-good checkpointed map.
-                if (guard.retries_used() > 1 && ckpt.valid() &&
-                    ckpt.cmap.demand().width() > 0) {
-                    use_ckpt_cmap = true;
-                    guard.record(kind, outer, "fallback-demand",
-                                 "using the last-good congestion map of"
-                                 " iteration " + std::to_string(ckpt.iter));
-                } else {
-                    guard.record(kind, outer, "reroute",
-                                 "re-running congestion estimation");
-                }
-                break;
-            }
-            case FaultKind::CorruptedBudget: {
-                if (ckpt.valid()) {
-                    effective_ratios = ckpt.ratios;
-                    scheme->restore(ckpt.inflation);
-                }
-                guard.record(kind, outer, "reset-inflation",
-                             "restored checkpoint inflation bookkeeping");
-                break;
-            }
-            default: {
-                // GradientNaN / HpwlExplosion / OverflowOscillation /
-                // AuditViolation: roll back to the checkpoint and damp the
-                // schedule that drove the divergence. The incremental
-                // caches were reconciled against the *failed* positions;
-                // a restored checkpoint must never be scored against them.
-                inc_route.invalidate();
-                inc_rudy.invalidate();
-                if (ckpt.valid()) {
-                    pos = ckpt.pos;
-                    for (size_t i = 0; i < movable.size(); ++i)
-                        d.cells[static_cast<size_t>(movable[i])].pos =
-                            pos[i];
-                    obj.set_lambda1(ckpt.lambda1);
-                    effective_ratios = ckpt.ratios;
-                    scheme->restore(ckpt.inflation);
-                }
-                nes_cfg.initial_step *= cfg.recover.step_shrink;
-                lambda1_growth =
-                    1.0 + (lambda1_growth - 1.0) * cfg.recover.lambda_tighten;
-                ++stats.recovery.rollbacks;
-                std::ostringstream oss;
-                oss << "restored checkpoint of outer iteration " << ckpt.iter
-                    << "; step x" << cfg.recover.step_shrink
-                    << ", lambda1 growth -> " << lambda1_growth;
-                guard.record(kind, outer, "rollback", oss.str());
-                if (guard.retries_used() >= cfg.recover.max_retries &&
-                    (dc || dpa)) {
-                    // Last rung: skip the optional congestion-directed
-                    // terms for the rest of the stage.
-                    dc = false;
-                    dpa = false;
-                    obj.set_congestion(nullptr, nullptr);
-                    extra = static_pg_density(rail_area,
-                                              cfg.static_pg_weight);
-                    obj.set_extra_density(&extra);
-                    guard.record(kind, outer, "skip-optional",
-                                 "disabled net-moving DC and DPA for the"
-                                 " rest of the stage");
-                }
-                break;
-            }
-        }
-        return true;
-    };
-
-    while (outer < cfg.max_route_iters) {
-        if (guard.over_budget(outer)) break;
-
-        // Checkpoint the outer boundary: pure copies of the state a
-        // rollback restores, captured only while recovery is active.
-        if (guard.active()) {
-            ckpt.iter = outer;
-            ckpt.pos = pos;
-            ckpt.lambda1 = obj.lambda1();
-            ckpt.ratios = effective_ratios;
-            ckpt.extra_area = grid_sum(extra);
-            ckpt.inflation = scheme->snapshot();
-            ckpt.cmap = cmap;  // last good map (empty before iteration 0)
-            ckpt.wirelength = last_wl;
-        }
-        // Durable journal entry at every outer boundary: an outer
-        // iteration routes the whole design, so the snapshot cost is
-        // noise against the body it fronts.
-        if (durable != nullptr && durable->enabled()) {
-            recover::PipelineSnapshot snap;
-            snap.stage = recover::kStageRoutability;
-            snap.iter = outer;
-            snap.pos = pos;
-            snap.lambda1 = obj.lambda1();
-            snap.gamma = obj.gamma();
-            snap.lambda1_growth = lambda1_growth;
-            snap.initial_step = nes_cfg.initial_step;
-            snap.last_wl = last_wl;
-            snap.ratios = effective_ratios;
-            snap.inflation = scheme->snapshot();
-            snap.best_pos = best_pos;
-            snap.best_ratios = best_ratios;
-            snap.best_inflation = best_inflation;
-            snap.best_metric = best_metric;
-            snap.best_overflow = best_overflow;
-            snap.best_extra_area = best_extra_area;
-            snap.best_iter = best_iter;
-            snap.stall = stall;
-            snap.dc = dc;
-            snap.dpa = dpa;
-            snap.use_ckpt_cmap = use_ckpt_cmap;
-            snap.router_overflow_penalty = router_cfg.overflow_penalty;
-            snap.router_layer_capacity.reserve(router_cfg.layers.size());
-            for (const LayerSpec& l : router_cfg.layers)
-                snap.router_layer_capacity.push_back(l.capacity);
-            snap.extra = extra;
-            if (cmap.demand().width() > 0) {
-                snap.cmap_demand = cmap.demand();
-                snap.cmap_capacity = cmap.capacity();
-            }
-            snap.osc_window = osc_window;
-            durable->save(snap);
-        }
-        recover::crash::maybe_kill("route-mid");
-        // Stats entries of a failed attempt are rolled back with it.
-        const size_t mark_overflow = stats.total_overflow.size();
-        const size_t mark_inflation = stats.mean_inflation.size();
-        const size_t mark_penalty = stats.penalty.size();
-
-        try {
-            // 1. Congestion estimation on current positions -> map (Eq. 3):
-            //    a full global route (the paper) or RUDY (router-free).
-            int rrr_executed = 0;
-            int rrr_stalled = 0;
-            if (use_ckpt_cmap && ckpt.valid() &&
-                ckpt.cmap.demand().width() > 0) {
-                use_ckpt_cmap = false;
-                cmap = ckpt.cmap;
-            } else if (cfg.use_rudy_congestion) {
-                cmap = rudy_congestion(d, grid, cfg.router, {},
-                                       incremental ? &inc_rudy : nullptr);
-            } else {
-                const RouteResult rr =
-                    router->route(d, incremental ? &inc_route : nullptr);
-                cmap = rr.congestion;
-                rrr_executed = rr.rrr_rounds_executed;
-                rrr_stalled = rr.rrr_rounds_stalled;
-                stats.route_conns_total += rr.inc_conns_total;
-                stats.route_conns_rerouted += rr.inc_conns_rerouted;
-                // Fault-injection site (stage "global-route", distinct
-                // from the kStage sites below): corrupt the *persistent*
-                // phase-A demand after a successful route. The next
-                // route() call's incremental-route auditor must trip on
-                // the stale cache and recovery must invalidate it.
-                if (guard.active() && incremental &&
-                    recover::fault::fire("global-route",
-                                         recover::FaultKind::CorruptedDemand,
-                                         outer) &&
-                    inc_route.dem_h.width() > 0) {
-                    inc_route.dem_h.at(0, 0) += 1.0;
-                }
-            }
-
-            // Fault-injection sites (inert unless a matching spec is
-            // armed): the site corrupts its own state, detection below
-            // must catch it.
-            if (guard.active()) {
-                using recover::FaultKind;
-                namespace fault = recover::fault;
-                if (fault::fire(kStage, FaultKind::CorruptedDemand, outer)) {
-                    GridF dmd = cmap.demand();
-                    dmd.at(0, 0) =
-                        std::numeric_limits<double>::quiet_NaN();
-                    cmap = CongestionMap(grid, std::move(dmd),
-                                         cmap.capacity());
-                }
-                if (fault::fire(kStage, FaultKind::RouterNoProgress,
-                                outer)) {
-                    // Simulate the livelock symptom: absurd demand that
-                    // every RRR round failed to improve.
-                    GridF dmd = cmap.demand();
-                    grid_scale(dmd, 1e9);
-                    cmap = CongestionMap(grid, std::move(dmd),
-                                         cmap.capacity());
-                    rrr_executed = std::max(rrr_executed, 1);
-                    rrr_stalled = rrr_executed;
-                }
-                if (fault::fire(kStage, FaultKind::OverflowOscillation,
-                                outer) &&
-                    outer % 2 == 0) {
-                    // Every other iteration sees 64x demand: the overflow
-                    // window alternates huge/normal until detected.
-                    GridF dmd = cmap.demand();
-                    grid_scale(dmd, 64.0);
-                    cmap = CongestionMap(grid, std::move(dmd),
-                                         cmap.capacity());
-                }
-            }
-
-            // Divergence detection: corrupted demand. The auditor throws
-            // AuditFailure (classified below); when audits are off the
-            // recovery layer runs the same predicate itself.
-            audit::check_congestion_map(cmap);
-            if (guard.active() && !audit_enabled()) {
-                std::string msg;
-                if (find_invalid_gcell(cmap, msg))
-                    throw recover::RecoverableError(
-                        recover::FaultKind::CorruptedDemand, kStage, msg);
-            }
-
-            stats.total_overflow.push_back(cmap.total_overflow());
-            // Keep the best-routed snapshot under the severity-weighted
-            // overflow (the quantity detailed-routing violations track):
-            // the stage must never end worse than it started.
-            const double severe = cmap.weighted_overflow();
-
-            // Divergence detection: router livelock — every RRR round
-            // stalled while the overflow is beyond anything a healthy run
-            // produces.
-            if (guard.active() && rrr_executed > 0 &&
-                rrr_stalled == rrr_executed &&
-                severe > cfg.recover.router_livelock_overflow) {
-                std::ostringstream oss;
-                oss << "all " << rrr_executed
-                    << " RRR rounds stalled at weighted overflow " << severe;
-                throw recover::RecoverableError(
-                    recover::FaultKind::RouterNoProgress, kStage, oss.str());
-            }
-            // Divergence detection: outer-loop overflow oscillation.
-            if (guard.active()) {
-                osc_window.push_back(severe);
-                if (overflow_oscillates(osc_window, cfg.recover.osc_flips,
-                                        cfg.recover.osc_amplitude)) {
-                    std::ostringstream oss;
-                    oss << "weighted overflow alternated "
-                        << cfg.recover.osc_flips
-                        << " times (last " << severe << ")";
-                    throw recover::RecoverableError(
-                        recover::FaultKind::OverflowOscillation, kStage,
-                        oss.str());
-                }
-            }
-
-            if (severe < best_overflow * (1.0 - cfg.keep_best_margin)) {
-                best_overflow = severe;
-                best_pos = pos;
-                best_ratios = effective_ratios;
-                best_extra_area = grid_sum(extra);
-                best_inflation = scheme->snapshot();
-                best_iter = outer;
-            }
-
-            // 3'. Dynamic pin-accessibility density adjustment (Eq. 13-15)
-            //     is refreshed first so its charge is known to the budget.
-            if (dpa) {
-                extra = dynamic_pg_density(rail_area, cmap);
-                grid_scale(extra, cfg.dpa_weight);
-                obj.set_extra_density(&extra);
-            }
-
-            // 2. Momentum-based (or baseline) cell inflation update,
-            //    budgeted (together with the PG charge) against the filler
-            //    whitespace so the density stays feasible.
-            scheme->update(d, cmap);
-            effective_ratios = scheme->ratios();
-            const double extra_area = grid_sum(extra);
-            budget_inflation(d, first_filler, effective_ratios,
-                             cfg.inflation_budget_frac, extra_area);
-            if (guard.active() &&
-                recover::fault::fire(kStage,
-                                     recover::FaultKind::CorruptedBudget,
-                                     outer) &&
-                !effective_ratios.empty()) {
-                effective_ratios[0] = -1.0;
-            }
-            // Invariant audit: the budgeted ratios must balance —
-            // real-cell area growth inside the filler budget, uniform
-            // filler shrink.
-            if (audit_enabled())
-                audit::check_inflation_budget(d, first_filler,
-                                              effective_ratios,
-                                              cfg.inflation_budget_frac,
-                                              extra_area);
-            else if (guard.active()) {
-                for (size_t i = 0; i < effective_ratios.size(); ++i) {
-                    const double r = effective_ratios[i];
-                    if (std::isfinite(r) && r > 0.0) continue;
-                    std::ostringstream oss;
-                    oss << "inflation ratio of cell " << i
-                        << " is invalid: " << r;
-                    throw recover::RecoverableError(
-                        recover::FaultKind::CorruptedBudget, kStage,
-                        oss.str());
-                }
-            }
-            {
-                double acc = 0.0;
-                int n = 0;
-                for (int ci : movable) {
-                    if (ci >= first_filler) continue;
-                    acc += effective_ratios[static_cast<size_t>(ci)];
-                    ++n;
-                }
-                stats.mean_inflation.push_back(n > 0 ? acc / n : 1.0);
-            }
-
-            // 4. Congestion potential field for the DC term (the
-            //    bounding-box baseline model needs only the map, not the
-            //    field).
-            if (dc) {
-                obj.set_dc_model(cfg.use_bbox_dc_model
-                                     ? DcModel::BoundingBox
-                                     : DcModel::NetMoving);
-                if (!cfg.use_bbox_dc_model) field.build(cmap);
-                obj.set_congestion(
-                    &cmap, cfg.use_bbox_dc_model ? nullptr : &field);
-            }
-
-            // 5. Inner Nesterov iterations on Eq. (5).
-            NesterovSolver solver(pos, nes_cfg);
-            if (guard.active() &&
-                recover::fault::fire(kStage,
-                                     recover::FaultKind::HpwlExplosion,
-                                     outer)) {
-                // Fling the optimizer state far outside the die; the WA
-                // total blows past the explosion threshold next evaluate.
-                std::vector<Vec2> blown = pos;
-                const Vec2 c = d.region.center();
-                for (Vec2& p : blown)
-                    p = {c.x + (p.x - c.x) * 1e4, c.y + (p.y - c.y) * 1e4};
-                solver = NesterovSolver(std::move(blown), nes_cfg);
-            }
-            std::vector<Vec2> grad;
-            double penalty = 0.0;
-            double attempt_wl = last_wl;
-            for (int it = 0; it < cfg.inner_iters; ++it) {
-                const ObjectiveTerms terms =
-                    obj.evaluate(d, movable, solver.reference(), grad);
-                if (guard.active()) {
-                    if (it == 0 && !grad.empty() &&
-                        recover::fault::fire(
-                            kStage, recover::FaultKind::GradientNaN, outer))
-                        grad[0].x =
-                            std::numeric_limits<double>::quiet_NaN();
-                    // Catch non-finite gradients before they step: a NaN
-                    // position would poison every later evaluation (and
-                    // the grid index casts behind it).
-                    for (size_t gi = 0; gi < grad.size(); ++gi) {
-                        if (std::isfinite(grad[gi].x) &&
-                            std::isfinite(grad[gi].y))
-                            continue;
-                        std::ostringstream oss;
-                        oss << "non-finite gradient of slot " << gi
-                            << " at inner iteration " << it;
-                        throw recover::RecoverableError(
-                            recover::FaultKind::GradientNaN, kStage,
-                            oss.str());
-                    }
-                    // Divergence detection: non-finite objective terms
-                    // (NaN gradients poison the terms one step later) and
-                    // wirelength beyond k x the checkpoint / die bound.
-                    const double tsum = terms.wirelength + terms.density +
-                                        terms.congestion;
-                    if (!std::isfinite(tsum)) {
-                        std::ostringstream oss;
-                        oss << "non-finite objective terms at inner"
-                            << " iteration " << it;
-                        throw recover::RecoverableError(
-                            recover::FaultKind::GradientNaN, kStage,
-                            oss.str());
-                    }
-                    const double bound =
-                        cfg.recover.hpwl_explosion_factor *
-                        std::max(ckpt.wirelength, die_bound);
-                    if (terms.wirelength > bound) {
-                        std::ostringstream oss;
-                        oss << "WA wirelength " << terms.wirelength
-                            << " exceeds the explosion bound " << bound;
-                        throw recover::RecoverableError(
-                            recover::FaultKind::HpwlExplosion, kStage,
-                            oss.str());
-                    }
-                }
-                penalty = terms.congestion;
-                solver.step(grad, project);
-                // Keep the ePlace lambda_1 schedule only while the density
-                // target is not met; once spread, wirelength/congestion
-                // lead.
-                if (terms.overflow > cfg.stop_overflow)
-                    obj.set_lambda1(obj.lambda1() * lambda1_growth);
-                attempt_wl = terms.wirelength;
-            }
-            {
-                // Last line of defense before NaN positions reach the
-                // design: scan the solution once (observe-only).
-                const std::vector<Vec2>& sol = solver.solution();
-                if (guard.active()) {
-                    for (size_t i = 0; i < sol.size(); ++i) {
-                        if (std::isfinite(sol[i].x) &&
-                            std::isfinite(sol[i].y))
-                            continue;
-                        std::ostringstream oss;
-                        oss << "non-finite solution position of slot " << i;
-                        throw recover::RecoverableError(
-                            recover::FaultKind::GradientNaN, kStage,
-                            oss.str());
-                    }
-                }
-                pos = sol;
-            }
-            for (size_t i = 0; i < movable.size(); ++i)
-                d.cells[static_cast<size_t>(movable[i])].pos = pos[i];
-            last_wl = attempt_wl;
-            stats.penalty.push_back(penalty);
-            ++stats.outer_iters;
-
-            if (cfg.verbose) {
-                RDP_LOG_INFO() << "[route-iter " << outer << "] overflow="
-                               << cmap.total_overflow()
-                               << " C(x,y)=" << penalty
-                               << " inflation=" << stats.mean_inflation.back();
-            }
-
-            // 6. Stop when the congestion metric no longer decreases
-            //    (paper: "until C(x,y) no longer decreases or the given
-            //    number of iterations is reached"). When DC is off the
-            //    router overflow serves as the metric.
-            const double metric = dc ? penalty : cmap.weighted_overflow();
-            ++outer;
-            if (metric < best_metric - 1e-9) {
-                best_metric = metric;
-                stall = 0;
-            } else if (++stall >= cfg.stop_patience) {
-                break;
-            }
-            continue;
-        } catch (const recover::RecoverableError& e) {
-            stats.total_overflow.resize(mark_overflow);
-            stats.mean_inflation.resize(mark_inflation);
-            stats.penalty.resize(mark_penalty);
-            osc_window.clear();
-            if (!apply_recovery(e.kind(), e.what())) break;
-            continue;
-        } catch (const AuditFailure& e) {
-            if (!guard.active()) throw;
-            stats.total_overflow.resize(mark_overflow);
-            stats.mean_inflation.resize(mark_inflation);
-            stats.penalty.resize(mark_penalty);
-            osc_window.clear();
-            if (!apply_recovery(recover::classify_audit_failure(e),
-                                e.what()))
-                break;
-            continue;
-        }
-    }
-
-    // Score the final positions too, then restore the best snapshot seen —
-    // positions together with the inflation bookkeeping they were scored
-    // with (ratios, extra charge, scheme history), so downstream consumers
-    // never see a mixed state.
-    {
-        const double severe =
-            cfg.use_rudy_congestion
-                ? rudy_congestion(d, grid, cfg.router, {},
-                                  incremental ? &inc_rudy : nullptr)
-                      .weighted_overflow()
-                : router->route(d, incremental ? &inc_route : nullptr)
-                      .congestion.weighted_overflow();
-        if (severe < best_overflow * (1.0 - cfg.keep_best_margin)) {
-            best_overflow = severe;
-            best_pos = pos;
-            best_ratios = effective_ratios;
-            best_extra_area = grid_sum(extra);
-            best_inflation = scheme->snapshot();
-            best_iter = stats.outer_iters;
-        }
-        for (size_t i = 0; i < movable.size(); ++i)
-            d.cells[static_cast<size_t>(movable[i])].pos = best_pos[i];
-        effective_ratios = best_ratios;
-        scheme->restore(best_inflation);
-        stats.best_iter = best_iter;
-        stats.final_ratios = best_ratios;
-        stats.final_extra_area = best_extra_area;
-        // Re-audit the restored pairing: the bookkeeping must balance for
-        // the snapshot exactly as it did when the snapshot was scored.
-        if (audit_enabled())
-            audit::check_inflation_budget(d, first_filler, effective_ratios,
-                                          cfg.inflation_budget_frac,
-                                          best_extra_area);
-    }
-
-    // Detach caller-owned state before `extra`/`scheme` go out of scope.
-    obj.set_congestion(nullptr, nullptr);
-    obj.set_extra_density(nullptr);
-    obj.set_inflation(nullptr);
+    RoutabilityStage(d, movable, obj, cfg, selected_rails, first_filler,
+                     durable, stats)
+        .run(resume);
     return stats;
 }
 

@@ -43,6 +43,8 @@ constexpr uint32_t kSectionTags[] = {kSecMeta, kSecPos,  kSecOpt, kSecInfl,
 constexpr uint32_t kSectionCount =
     static_cast<uint32_t>(sizeof(kSectionTags) / sizeof(kSectionTags[0]));
 
+// Writer and Reader share one overload set per field type, so a single
+// field list (section_fields) drives both directions.
 struct Writer {
     std::vector<uint8_t> out;
 
@@ -52,28 +54,38 @@ struct Writer {
     }
     void u32(uint32_t v) { bytes(&v, 4); }
     void u64(uint64_t v) { bytes(&v, 8); }
-    void i32(int32_t v) { bytes(&v, 4); }
-    void f64(double v) { bytes(&v, 8); }
-    void b8(bool v) {
+    void operator()(int v) {
+        const int32_t x = v;
+        bytes(&x, 4);
+    }
+    void operator()(double v) { bytes(&v, 8); }
+    void operator()(bool v) {
         const uint8_t x = v ? 1 : 0;
         bytes(&x, 1);
     }
-    void vec_f64(const std::vector<double>& v) {
+    void operator()(const std::vector<double>& v) {
         u64(v.size());
         if (!v.empty()) bytes(v.data(), v.size() * sizeof(double));
     }
-    void vec_v2(const std::vector<Vec2>& v) {
+    void operator()(const std::vector<Vec2>& v) {
         u64(v.size());
         for (const Vec2& p : v) {
-            f64(p.x);
-            f64(p.y);
+            (*this)(p.x);
+            (*this)(p.y);
         }
     }
-    void grid(const GridF& g) {
-        i32(g.width());
-        i32(g.height());
+    void operator()(const GridF& g) {
+        (*this)(g.width());
+        (*this)(g.height());
         if (!g.raw().empty())
             bytes(g.raw().data(), g.raw().size() * sizeof(double));
+    }
+    void operator()(const InflationSnapshot& s) {
+        (*this)(s.r);
+        (*this)(s.dr);
+        (*this)(s.prev_c);
+        (*this)(s.prev_avg);
+        (*this)(s.t);
     }
 };
 
@@ -103,191 +115,126 @@ struct Reader {
         take(&v, 8);
         return v;
     }
-    int32_t i32() {
-        int32_t v = 0;
-        take(&v, 4);
-        return v;
+    void operator()(int& v) {
+        int32_t x = 0;
+        take(&x, 4);
+        v = x;
     }
-    double f64() {
-        double v = 0;
-        take(&v, 8);
-        return v;
-    }
-    bool b8() {
-        uint8_t v = 0;
-        take(&v, 1);
-        return v != 0;
+    void operator()(double& v) { take(&v, 8); }
+    void operator()(bool& v) {
+        uint8_t x = 0;
+        take(&x, 1);
+        v = x != 0;
     }
     // Element counts are bounds-checked against the bytes actually present
     // before any allocation: a corrupt count must fail cleanly, not OOM.
-    std::vector<double> vec_f64() {
+    void operator()(std::vector<double>& v) {
         const uint64_t c = u64();
         if (!ok || c > remaining() / sizeof(double)) {
             ok = false;
-            return {};
+            return;
         }
-        std::vector<double> v(static_cast<size_t>(c));
+        v.assign(static_cast<size_t>(c), 0.0);
         if (c > 0) take(v.data(), v.size() * sizeof(double));
-        return v;
     }
-    std::vector<Vec2> vec_v2() {
+    void operator()(std::vector<Vec2>& v) {
         const uint64_t c = u64();
         if (!ok || c > remaining() / (2 * sizeof(double))) {
             ok = false;
-            return {};
+            return;
         }
-        std::vector<Vec2> v(static_cast<size_t>(c));
+        v.assign(static_cast<size_t>(c), Vec2{});
         for (Vec2& q : v) {
-            q.x = f64();
-            q.y = f64();
+            (*this)(q.x);
+            (*this)(q.y);
         }
-        return v;
     }
-    GridF grid() {
-        const int32_t w = i32();
-        const int32_t h = i32();
+    void operator()(GridF& g) {
+        int w = 0;
+        int h = 0;
+        (*this)(w);
+        (*this)(h);
         if (!ok || w < 0 || h < 0 ||
             (w > 0 &&
              static_cast<uint64_t>(w) * static_cast<uint64_t>(h) >
                  remaining() / sizeof(double))) {
             ok = false;
-            return {};
+            return;
         }
-        GridF g(w, h);
+        g = GridF(w, h);
         if (!g.raw().empty())
             take(g.raw().data(), g.raw().size() * sizeof(double));
-        return g;
+    }
+    void operator()(InflationSnapshot& s) {
+        (*this)(s.r);
+        (*this)(s.dr);
+        (*this)(s.prev_c);
+        (*this)(s.prev_avg);
+        (*this)(s.t);
     }
 };
 
-std::vector<uint8_t> section_payload(uint32_t tag,
-                                     const PipelineSnapshot& s) {
-    Writer w;
+/// The fields of section `tag` in layout order, visited by a Writer (with
+/// a const snapshot) or a Reader. False for an unknown tag.
+template <typename IO, typename Snap>
+bool section_fields(uint32_t tag, IO& io, Snap& s) {
     switch (tag) {
         case kSecMeta:
-            w.f64(s.lambda1);
-            w.f64(s.gamma);
-            w.f64(s.lambda1_growth);
-            w.f64(s.initial_step);
-            w.f64(s.last_wl);
-            w.f64(s.best_metric);
-            w.f64(s.best_overflow);
-            w.f64(s.best_extra_area);
-            w.f64(s.router_overflow_penalty);
-            w.i32(s.best_iter);
-            w.i32(s.stall);
-            w.b8(s.dc);
-            w.b8(s.dpa);
-            w.b8(s.use_ckpt_cmap);
-            w.vec_f64(s.router_layer_capacity);
-            break;
+            io(s.cur.lambda1);
+            io(s.cur.gamma);
+            io(s.lambda1_growth);
+            io(s.initial_step);
+            io(s.cur.last_wl);
+            io(s.best_metric);
+            io(s.best.overflow);
+            io(s.best.extra_area);
+            io(s.router_overflow_penalty);
+            io(s.best.iter);
+            io(s.stall);
+            io(s.dc);
+            io(s.dpa);
+            io(s.use_ckpt_cmap);
+            io(s.router_layer_capacity);
+            return true;
         case kSecPos:
-            w.vec_v2(s.pos);
-            break;
+            io(s.cur.pos);
+            return true;
         case kSecOpt:
-            w.vec_v2(s.opt.u);
-            w.vec_v2(s.opt.v);
-            w.vec_v2(s.opt.prev_v);
-            w.vec_v2(s.opt.prev_g);
-            w.f64(s.opt.a);
-            w.i32(s.opt.k);
-            w.f64(s.opt.last_alpha);
-            w.b8(s.opt.have_prev);
-            break;
+            io(s.opt.u);
+            io(s.opt.v);
+            io(s.opt.prev_v);
+            io(s.opt.prev_g);
+            io(s.opt.a);
+            io(s.opt.k);
+            io(s.opt.last_alpha);
+            io(s.opt.have_prev);
+            return true;
         case kSecInfl:
-            w.vec_f64(s.ratios);
-            w.vec_f64(s.inflation.r);
-            w.vec_f64(s.inflation.dr);
-            w.vec_f64(s.inflation.prev_c);
-            w.f64(s.inflation.prev_avg);
-            w.i32(s.inflation.t);
-            break;
+            io(s.cur.ratios);
+            io(s.cur.inflation);
+            return true;
         case kSecBest:
-            w.vec_v2(s.best_pos);
-            w.vec_f64(s.best_ratios);
-            w.vec_f64(s.best_inflation.r);
-            w.vec_f64(s.best_inflation.dr);
-            w.vec_f64(s.best_inflation.prev_c);
-            w.f64(s.best_inflation.prev_avg);
-            w.i32(s.best_inflation.t);
-            break;
+            io(s.best.at.pos);
+            io(s.best.at.ratios);
+            io(s.best.at.inflation);
+            return true;
         case kSecMaps:
-            w.grid(s.extra);
-            w.grid(s.cmap_demand);
-            w.grid(s.cmap_capacity);
-            break;
+            io(s.extra);
+            io(s.cmap_demand);
+            io(s.cmap_capacity);
+            return true;
         case kSecHist:
-            w.vec_f64(s.osc_window);
-            break;
-        default:
-            break;
-    }
-    return w.out;
-}
-
-bool parse_section(uint32_t tag, Reader& r, PipelineSnapshot& s) {
-    switch (tag) {
-        case kSecMeta:
-            s.lambda1 = r.f64();
-            s.gamma = r.f64();
-            s.lambda1_growth = r.f64();
-            s.initial_step = r.f64();
-            s.last_wl = r.f64();
-            s.best_metric = r.f64();
-            s.best_overflow = r.f64();
-            s.best_extra_area = r.f64();
-            s.router_overflow_penalty = r.f64();
-            s.best_iter = r.i32();
-            s.stall = r.i32();
-            s.dc = r.b8();
-            s.dpa = r.b8();
-            s.use_ckpt_cmap = r.b8();
-            s.router_layer_capacity = r.vec_f64();
-            break;
-        case kSecPos:
-            s.pos = r.vec_v2();
-            break;
-        case kSecOpt:
-            s.opt.u = r.vec_v2();
-            s.opt.v = r.vec_v2();
-            s.opt.prev_v = r.vec_v2();
-            s.opt.prev_g = r.vec_v2();
-            s.opt.a = r.f64();
-            s.opt.k = r.i32();
-            s.opt.last_alpha = r.f64();
-            s.opt.have_prev = r.b8();
-            break;
-        case kSecInfl:
-            s.ratios = r.vec_f64();
-            s.inflation.r = r.vec_f64();
-            s.inflation.dr = r.vec_f64();
-            s.inflation.prev_c = r.vec_f64();
-            s.inflation.prev_avg = r.f64();
-            s.inflation.t = r.i32();
-            break;
-        case kSecBest:
-            s.best_pos = r.vec_v2();
-            s.best_ratios = r.vec_f64();
-            s.best_inflation.r = r.vec_f64();
-            s.best_inflation.dr = r.vec_f64();
-            s.best_inflation.prev_c = r.vec_f64();
-            s.best_inflation.prev_avg = r.f64();
-            s.best_inflation.t = r.i32();
-            break;
-        case kSecMaps:
-            s.extra = r.grid();
-            s.cmap_demand = r.grid();
-            s.cmap_capacity = r.grid();
-            break;
-        case kSecHist:
-            s.osc_window = r.vec_f64();
-            break;
+            io(s.osc_window);
+            return true;
         default:
             return false;
     }
+}
+
+bool parse_section(uint32_t tag, Reader& r, PipelineSnapshot& s) {
     // The payload length must match the fields exactly: trailing bytes
     // mean the writer and reader disagree about the format.
-    return r.ok && r.remaining() == 0;
+    return section_fields(tag, r, s) && r.ok && r.remaining() == 0;
 }
 
 bool fail(std::string* error, const std::string& what) {
@@ -352,11 +299,13 @@ std::vector<uint8_t> serialize_snapshot(const PipelineSnapshot& snap,
     w.u32(kSectionCount);
     w.u64(fingerprint);
     w.u64(generation);
-    w.i32(snap.stage);
-    w.i32(snap.iter);
+    w(snap.stage);
+    w(snap.iter);
     w.u64(fnv1a64(w.out.data(), w.out.size()));
     for (const uint32_t tag : kSectionTags) {
-        const std::vector<uint8_t> payload = section_payload(tag, snap);
+        Writer sec;
+        section_fields(tag, sec, snap);
+        const std::vector<uint8_t>& payload = sec.out;
         w.u32(tag);
         w.u32(0);
         w.u64(payload.size());
@@ -379,8 +328,8 @@ bool deserialize_snapshot(const std::vector<uint8_t>& bytes,
     const uint64_t fp = r.u64();
     const uint64_t gen = r.u64();
     PipelineSnapshot snap;
-    snap.stage = r.i32();
-    snap.iter = r.i32();
+    r(snap.stage);
+    r(snap.iter);
     const uint64_t header_cksum = r.u64();
     if (fnv1a64(bytes.data(), 40) != header_cksum)
         return fail(error, "header checksum mismatch");

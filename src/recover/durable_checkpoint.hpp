@@ -1,7 +1,7 @@
 #pragma once
 // Durable crash-consistent checkpointing (DESIGN.md §16).
 //
-// The in-memory StageCheckpoint (checkpoint.hpp) dies with the process;
+// The in-memory rollback point (RollbackPoint) dies with the process;
 // this layer persists the pipeline state a stage boundary needs so a run
 // killed at any instruction — OOM, preemption, power loss — resumes and
 // finishes **bitwise identical** to the uninterrupted run.
@@ -56,45 +56,59 @@ struct OptimizerSnapshot {
     bool have_prev = false;
 };
 
-/// Everything a stage-boundary resume must restore. Stage 1 uses the
-/// cursor/position/optimizer/scalar fields; stage 2 additionally carries
-/// inflation, best-so-far, map, and router-relaxation state (its inner
-/// solver is rebuilt fresh every outer iteration, so `opt` stays empty).
+/// The live mutable state of both stage loops (DESIGN.md §11, §16): the
+/// loops work on these fields, a durable save serializes them, a resume
+/// assigns them, and a rollback point or best-so-far is a copy of `cur`.
+/// Between captures stage 1's solver owns `cur.pos` and `opt`, and stage
+/// 2's inflation scheme owns `cur.inflation` (stage 2 leaves `opt` empty).
 struct PipelineSnapshot {
+    /// What a rollback restores and best-so-far keeps.
+    struct Iterate {
+        std::vector<Vec2> pos;  ///< movable-cell positions
+        double lambda1 = 0.0;   ///< density weight
+        double gamma = 0.0;     ///< WA smoothing
+        double last_wl = 0.0;   ///< last healthy WA total (explosion base)
+        std::vector<double> ratios;  ///< effective inflation ratios
+        InflationSnapshot inflation;
+    };
+    /// Stage 2's best-so-far: the iterate it restores at the end.
+    struct Best {
+        Iterate at;
+        double overflow = 0.0;    ///< severity-weighted overflow it scored
+        double extra_area = 0.0;  ///< PG/DPA charge paired with its ratios
+        int iter = -1;            ///< outer iteration (-1 = stage entry)
+    };
+
     int stage = 0;
-    int iter = 0;
-
-    double lambda1 = 0.0;
-    double gamma = 0.0;
-    double lambda1_growth = 1.0;
-    double initial_step = 1e-3;
-    double last_wl = 0.0;
-
-    std::vector<Vec2> pos;
+    int iter = 0;  ///< loop cursor: next (outer) iteration to run
+    Iterate cur;
+    Best best;
     OptimizerSnapshot opt;
 
-    std::vector<double> ratios;  ///< effective inflation ratios
-    InflationSnapshot inflation;
-
-    std::vector<Vec2> best_pos;
-    std::vector<double> best_ratios;
-    InflationSnapshot best_inflation;
-    double best_metric = 0.0;
-    double best_overflow = 0.0;
-    double best_extra_area = 0.0;
-    int best_iter = -1;
-    int stall = 0;
-
+    // Knobs the recovery ladder damps; never rolled back.
+    double lambda1_growth = 1.0;
+    double initial_step = 1e-3;
     bool dc = false;
     bool dpa = false;
-    bool use_ckpt_cmap = false;
     double router_overflow_penalty = 0.0;
     std::vector<double> router_layer_capacity;
 
-    GridF extra;          ///< static extra-density field (PG rails + DPA)
-    GridF cmap_demand;    ///< last routed congestion map
-    GridF cmap_capacity;  ///< (empty grids when no route happened yet)
+    // Stage-2 stop criterion and divergence history.
+    double best_metric = 0.0;
+    int stall = 0;
+    bool use_ckpt_cmap = false;  ///< CorruptedDemand fallback, one-shot
     std::vector<double> osc_window;
+
+    GridF extra;          ///< static extra-density field (PG rails + DPA)
+    GridF cmap_demand;    ///< last-good congestion map: that of the last
+    GridF cmap_capacity;  ///< completed outer iteration (empty before)
+};
+
+/// A recovery rollback point: the live iterate at stage iteration `iter`.
+struct RollbackPoint {
+    int iter = -1;  ///< -1 = none captured yet
+    PipelineSnapshot::Iterate at;
+    bool valid() const { return iter >= 0; }
 };
 
 /// Knobs of the durable layer; disabled while `dir` is empty.

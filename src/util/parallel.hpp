@@ -71,13 +71,20 @@ void parallel_for(size_t n, size_t grain, Fn&& fn) {
 template <typename T, typename ChunkFn, typename CombineFn>
 T parallel_reduce(size_t n, size_t grain, T init, ChunkFn&& chunk_fn,
                   CombineFn&& combine, size_t max_chunks = 64) {
+    // Each partial sits in its own struct so std::vector<bool> bit packing
+    // never applies: chunks finishing on different threads would otherwise
+    // read-modify-write a shared word and lose each other's results.
+    struct Slot {
+        T value;
+    };
     const ChunkPlan p = plan(n, grain, max_chunks);
-    std::vector<T> partial(p.num_chunks);
-    run_chunks(p,
-               [&](size_t b, size_t e, size_t c) { partial[c] = chunk_fn(b, e); });
+    std::vector<Slot> partial(p.num_chunks);
+    run_chunks(p, [&](size_t b, size_t e, size_t c) {
+        partial[c].value = chunk_fn(b, e);
+    });
     T acc = std::move(init);
     for (size_t c = 0; c < p.num_chunks; ++c)
-        acc = combine(std::move(acc), std::move(partial[c]));
+        acc = combine(std::move(acc), std::move(partial[c].value));
     return acc;
 }
 

@@ -93,6 +93,24 @@ TEST(ParallelReduceTest, SumIsThreadInvariant) {
     });
 }
 
+TEST(ParallelReduceTest, BoolPartialsAreNeverLost) {
+    // Regression: bool partials once lived in a bit-packed std::vector<bool>,
+    // so concurrent chunks raced on one word and a lone `true` could vanish
+    // (the router's RRR any-overflow flag then ended negotiation early).
+    ThreadGuard guard;
+    par::set_max_threads(4);
+    int lost = 0;
+    for (int rep = 0; rep < 20000; ++rep) {
+        const size_t hot = static_cast<size_t>(rep) % 64;
+        const bool any = par::parallel_reduce(
+            64, 1, false,
+            [&](size_t b, size_t e) { return b <= hot && hot < e; },
+            [](bool a, bool b) { return a || b; });
+        if (!any) ++lost;
+    }
+    EXPECT_EQ(lost, 0) << "of 20000 reductions lost their true chunk";
+}
+
 TEST(ParallelReduceTest, NestedParallelRunsInline) {
     ThreadGuard guard;
     par::set_max_threads(8);

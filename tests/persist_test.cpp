@@ -55,12 +55,12 @@ PipelineSnapshot make_snapshot() {
     PipelineSnapshot s;
     s.stage = recover::kStageRoutability;
     s.iter = 7;
-    s.lambda1 = 3.25;
-    s.gamma = 41.5;
+    s.cur.lambda1 = 3.25;
+    s.cur.gamma = 41.5;
     s.lambda1_growth = 1.05;
     s.initial_step = 2.5e-4;
-    s.last_wl = 123456.75;
-    s.pos = {{1.5, 2.5}, {3.0, -4.0}, {5.25, 6.125}};
+    s.cur.last_wl = 123456.75;
+    s.cur.pos = {{1.5, 2.5}, {3.0, -4.0}, {5.25, 6.125}};
     s.opt.u = {{0.5, 0.25}, {1.0, 2.0}, {3.5, 4.5}};
     s.opt.v = {{0.1, 0.2}, {0.3, 0.4}, {0.5, 0.6}};
     s.opt.prev_v = {{9.0, 8.0}, {7.0, 6.0}, {5.0, 4.0}};
@@ -69,20 +69,20 @@ PipelineSnapshot make_snapshot() {
     s.opt.k = 12;
     s.opt.last_alpha = 0.0625;
     s.opt.have_prev = true;
-    s.ratios = {1.0, 1.25, 1.5};
-    s.inflation.r = {1.0, 1.1, 1.2};
-    s.inflation.dr = {0.0, 0.05, 0.1};
-    s.inflation.prev_c = {0.5, 0.6, 0.7};
-    s.inflation.prev_avg = 0.375;
-    s.inflation.t = 3;
-    s.best_pos = {{10.0, 20.0}, {30.0, 40.0}, {50.0, 60.0}};
-    s.best_ratios = {1.0, 1.0, 1.125};
-    s.best_inflation = s.inflation;
-    s.best_inflation.t = 2;
+    s.cur.ratios = {1.0, 1.25, 1.5};
+    s.cur.inflation.r = {1.0, 1.1, 1.2};
+    s.cur.inflation.dr = {0.0, 0.05, 0.1};
+    s.cur.inflation.prev_c = {0.5, 0.6, 0.7};
+    s.cur.inflation.prev_avg = 0.375;
+    s.cur.inflation.t = 3;
+    s.best.at.pos = {{10.0, 20.0}, {30.0, 40.0}, {50.0, 60.0}};
+    s.best.at.ratios = {1.0, 1.0, 1.125};
+    s.best.at.inflation = s.cur.inflation;
+    s.best.at.inflation.t = 2;
     s.best_metric = 77.5;
-    s.best_overflow = 88.25;
-    s.best_extra_area = 12.5;
-    s.best_iter = 4;
+    s.best.overflow = 88.25;
+    s.best.extra_area = 12.5;
+    s.best.iter = 4;
     s.stall = 1;
     s.dc = true;
     s.dpa = true;
@@ -103,12 +103,12 @@ PipelineSnapshot make_snapshot() {
 void expect_snapshot_eq(const PipelineSnapshot& a, const PipelineSnapshot& b) {
     EXPECT_EQ(a.stage, b.stage);
     EXPECT_EQ(a.iter, b.iter);
-    EXPECT_EQ(a.lambda1, b.lambda1);
-    EXPECT_EQ(a.gamma, b.gamma);
+    EXPECT_EQ(a.cur.lambda1, b.cur.lambda1);
+    EXPECT_EQ(a.cur.gamma, b.cur.gamma);
     EXPECT_EQ(a.lambda1_growth, b.lambda1_growth);
     EXPECT_EQ(a.initial_step, b.initial_step);
-    EXPECT_EQ(a.last_wl, b.last_wl);
-    EXPECT_EQ(a.pos, b.pos);
+    EXPECT_EQ(a.cur.last_wl, b.cur.last_wl);
+    EXPECT_EQ(a.cur.pos, b.cur.pos);
     EXPECT_EQ(a.opt.u, b.opt.u);
     EXPECT_EQ(a.opt.v, b.opt.v);
     EXPECT_EQ(a.opt.prev_v, b.opt.prev_v);
@@ -117,20 +117,20 @@ void expect_snapshot_eq(const PipelineSnapshot& a, const PipelineSnapshot& b) {
     EXPECT_EQ(a.opt.k, b.opt.k);
     EXPECT_EQ(a.opt.last_alpha, b.opt.last_alpha);
     EXPECT_EQ(a.opt.have_prev, b.opt.have_prev);
-    EXPECT_EQ(a.ratios, b.ratios);
-    EXPECT_EQ(a.inflation.r, b.inflation.r);
-    EXPECT_EQ(a.inflation.dr, b.inflation.dr);
-    EXPECT_EQ(a.inflation.prev_c, b.inflation.prev_c);
-    EXPECT_EQ(a.inflation.prev_avg, b.inflation.prev_avg);
-    EXPECT_EQ(a.inflation.t, b.inflation.t);
-    EXPECT_EQ(a.best_pos, b.best_pos);
-    EXPECT_EQ(a.best_ratios, b.best_ratios);
-    EXPECT_EQ(a.best_inflation.r, b.best_inflation.r);
-    EXPECT_EQ(a.best_inflation.t, b.best_inflation.t);
+    EXPECT_EQ(a.cur.ratios, b.cur.ratios);
+    EXPECT_EQ(a.cur.inflation.r, b.cur.inflation.r);
+    EXPECT_EQ(a.cur.inflation.dr, b.cur.inflation.dr);
+    EXPECT_EQ(a.cur.inflation.prev_c, b.cur.inflation.prev_c);
+    EXPECT_EQ(a.cur.inflation.prev_avg, b.cur.inflation.prev_avg);
+    EXPECT_EQ(a.cur.inflation.t, b.cur.inflation.t);
+    EXPECT_EQ(a.best.at.pos, b.best.at.pos);
+    EXPECT_EQ(a.best.at.ratios, b.best.at.ratios);
+    EXPECT_EQ(a.best.at.inflation.r, b.best.at.inflation.r);
+    EXPECT_EQ(a.best.at.inflation.t, b.best.at.inflation.t);
     EXPECT_EQ(a.best_metric, b.best_metric);
-    EXPECT_EQ(a.best_overflow, b.best_overflow);
-    EXPECT_EQ(a.best_extra_area, b.best_extra_area);
-    EXPECT_EQ(a.best_iter, b.best_iter);
+    EXPECT_EQ(a.best.overflow, b.best.overflow);
+    EXPECT_EQ(a.best.extra_area, b.best.extra_area);
+    EXPECT_EQ(a.best.iter, b.best.iter);
     EXPECT_EQ(a.stall, b.stall);
     EXPECT_EQ(a.dc, b.dc);
     EXPECT_EQ(a.dpa, b.dpa);
@@ -212,6 +212,15 @@ TEST(PersistFormat, RoundTripsEveryFieldBitwise) {
         << err;
     EXPECT_EQ(gen, 9u);
     expect_snapshot_eq(in, out);
+}
+
+TEST(PersistFormat, SnapshotLayoutIsPinned) {
+    // The kVersion-1 byte layout is a contract with every journal already
+    // on disk: the same snapshot must serialize to the same bytes.
+    const std::vector<uint8_t> bytes =
+        recover::serialize_snapshot(make_snapshot(), kFingerprint, 1);
+    const uint64_t digest = recover::fnv1a64(bytes.data(), bytes.size());
+    EXPECT_EQ(digest, 0xed5147cc9cb78935ull) << std::hex << "actual digest 0x" << digest;
 }
 
 TEST(PersistFormat, RejectsForeignFingerprint) {
@@ -519,29 +528,43 @@ protected:
     static std::string child_log() { return read_bytes(log_path()); }
 
     /// Crash at `site`, then resume; the resumed output must match the
-    /// uninterrupted reference byte for byte.
-    void crash_and_resume(const std::string& site, bool incremental) {
-        const std::string label =
-            site + (incremental ? " (inc on)" : " (inc off)");
+    /// uninterrupted reference byte for byte. A non-empty `fault` arms that
+    /// RDP_FAULT spec in the killed, the resumed, and a fresh uninterrupted
+    /// reference run, so the resume starts from recovery-adjusted state.
+    void crash_and_resume(const std::string& site, bool incremental,
+                          const std::string& fault = "") {
+        const std::string label = site + (fault.empty() ? "" : " " + fault) +
+                                  (incremental ? " (inc on)" : " (inc off)");
         const std::string inc = incremental ? "1" : "0";
-        const std::string ckpt = fresh_dir("e2e_" + site + "_inc" + inc);
+        const std::string ckpt =
+            fresh_dir("e2e_" + site + fault + "_inc" + inc);
         const std::string out = ckpt + "/out.txt";
         const std::string flags =
             "--checkpoint-dir='" + ckpt + "' --checkpoint-every=10";
-        ASSERT_EQ(run_child("RDP_CRASH='" + site + "'", inc, out, flags),
+        const std::string fault_env =
+            fault.empty() ? "" : "RDP_FAULT='" + fault + "' ";
+        std::string ref = ref_path(incremental);
+        if (!fault.empty()) {
+            ref = ckpt + "/ref.txt";
+            ASSERT_EQ(run_child(fault_env, inc, ref, ""), 0)
+                << label << " reference run failed:\n"
+                << child_log();
+        }
+        ASSERT_EQ(run_child(fault_env + "RDP_CRASH='" + site + "'", inc, out,
+                            flags),
                   recover::crash::kExitCode)
             << label << " did not die at the kill point:\n"
             << child_log();
         EXPECT_FALSE(fs::exists(out))
             << label << ": the killed run must not have published output";
-        ASSERT_EQ(run_child("", inc, out, flags + " --resume=auto"), 0)
+        ASSERT_EQ(run_child(fault_env, inc, out, flags + " --resume=auto"), 0)
             << label << " failed to resume:\n"
             << child_log();
         EXPECT_NE(child_log().find("resuming from generation"),
                   std::string::npos)
             << label << " did not actually resume:\n"
             << child_log();
-        EXPECT_TRUE(read_bytes(out) == read_bytes(ref_path(incremental)))
+        EXPECT_TRUE(read_bytes(out) == read_bytes(ref))
             << label << ": resumed placement differs from the "
             << "uninterrupted run";
     }
@@ -573,6 +596,27 @@ TEST_F(PersistEndToEnd, KilledMidWirelengthStageResumesBitwise) {
 TEST_F(PersistEndToEnd, KilledMidRoutabilityStageResumesBitwise) {
     crash_and_resume("route-mid:2", true);
     crash_and_resume("route-mid:2", false);
+}
+
+// Resume after a recovery action: the snapshot must carry the rolled-back
+// iterate and the damped knobs. Each kill lands after the faulted iteration
+// was re-executed — the fault harness is per-process, so a resume from
+// before the fault would re-fire it and differ for that reason alone.
+TEST_F(PersistEndToEnd, ResumesAfterRoutabilityRollbackBitwise) {
+    crash_and_resume("route-mid:4", true, "routability-gp:gradient-nan:1");
+    crash_and_resume("route-mid:4", false, "routability-gp:gradient-nan:1");
+}
+
+TEST_F(PersistEndToEnd, ResumesAfterRouterRelaxationBitwise) {
+    crash_and_resume("route-mid:4", true,
+                     "routability-gp:router-no-progress:0");
+    crash_and_resume("route-mid:4", false,
+                     "routability-gp:router-no-progress:0");
+}
+
+TEST_F(PersistEndToEnd, ResumesAfterWirelengthRollbackBitwise) {
+    crash_and_resume("wl-mid:55", true, "wirelength-gp:gradient-nan:20");
+    crash_and_resume("wl-mid:55", false, "wirelength-gp:gradient-nan:20");
 }
 
 TEST_F(PersistEndToEnd, KilledMidCheckpointWriteResumesBitwise) {

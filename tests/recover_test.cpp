@@ -316,6 +316,23 @@ TEST_F(FaultRecoveryTest, RoutabilityStageReroutesCorruptedDemand) {
     EXPECT_TRUE(rerouted);
 }
 
+TEST_F(FaultRecoveryTest, FallbackDemandUsesTheLastGoodMap) {
+    // Regression: the rollback point was re-captured on every retry of the
+    // same outer iteration, so the fallback-demand rung fell back to the
+    // corrupted map of the attempt that had just failed and the stage
+    // degraded. The last-good map is the one of the previous iteration.
+    PlacerConfig cfg = recover_placer_cfg();
+    cfg.max_route_iters = 5;
+    const PlaceResult res = place_with_fault(
+        {"routability-gp", FaultKind::CorruptedDemand, 1, 2}, cfg);
+    bool fell_back = false;
+    for (const auto& e : res.recovery.events)
+        if (e.action == "fallback-demand") fell_back = true;
+    EXPECT_TRUE(fell_back);
+    EXPECT_EQ(res.recovery.degraded_stages, 0);
+    EXPECT_GT(res.route_outer_iters, 2);
+}
+
 TEST_F(FaultRecoveryTest, RoutabilityStageRecoversFromStaleIncrementalCache) {
     // The "global-route" site corrupts the *persistent* incremental route
     // cache after a successful route; the next iteration's

@@ -1,12 +1,10 @@
 #pragma once
-// Portable implementation of the rdp-* determinism-contract checks
-// (DESIGN.md §15). The authoritative implementation is the clang-tidy
-// plugin in tools/rdp-tidy (real AST matchers); this one is a
+// The rdp-* determinism-contract checks (DESIGN.md §15): a
 // comment/string-aware token scanner with no dependency beyond the C++
-// standard library, so the lint gate still runs — and still fails the
-// build on a violation — on hosts without a Clang development install.
+// standard library, so the lint gate runs — and fails the build on a
+// violation — on every host the project builds on.
 //
-// Both implementations enforce the same six rules:
+// The six rules:
 //
 //   rdp-raw-exp             std::exp / std::fma (and friends) outside
 //                           src/util/simd.* — everything else must go
