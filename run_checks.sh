@@ -22,7 +22,9 @@
 #                        checkpoint format + crash/resume kill-point
 #                        matrix, DESIGN.md §16)
 #                        The default build also runs ctest -L golden
-#                        (pinned end-to-end output digests).
+#                        (pinned end-to-end output digests) and ctest -L
+#                        bench (bench_e2e smoke: the traced link against
+#                        the wrapped layer symbols).
 #
 # Any failing step fails the script (non-zero exit). Tools missing from the
 # host (clang-format / clang-tidy) skip their step with a notice so the
@@ -109,6 +111,7 @@ if cmake -B build-checks -S . -DRDP_WERROR=ON >/dev/null &&
     require_label build-checks simd
     require_label build-checks persist
     require_label build-checks golden
+    require_label build-checks bench
     if ! ctest --test-dir build-checks --output-on-failure -j "$JOBS"; then
         record_failure "default ctest"
     fi

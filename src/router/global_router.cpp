@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <numeric>
 
 #include "audit/invariant_audit.hpp"
@@ -114,26 +115,58 @@ namespace {
 /// Mutable routing state for one GlobalRouter::route() invocation. The
 /// grids live in the (possibly persistent) RouterScratch; this wrapper
 /// only binds them to the cost/commit logic.
+///
+/// A speculative reroute binds a window-local copy instead: demand and
+/// cost are the window's copies, whose cell (0,0) is grid cell (ox,oy),
+/// while capacity and history stay the live grids (neither changes within
+/// an RRR round). Bend vias are never read by a reroute, so a copy has
+/// none.
 struct RouteState {
     const RouterConfig& cfg;
-    GridF &cap_h, &cap_v;
+    const GridF &cap_h, &cap_v;
+    const GridF &hist_h, &hist_v;
     GridF &dem_h, &dem_v;
-    GridF &bend_vias, &pin_vias;
-    GridF &hist_h, &hist_v;
     GridF &cost_h, &cost_v;
+    GridF* bend_vias;
+    int ox = 0, oy = 0;
 
     RouteState(const RouterConfig& c, RouterScratch& ws)
         : cfg(c),
           cap_h(ws.cap_h),
           cap_v(ws.cap_v),
-          dem_h(ws.dem_h),
-          dem_v(ws.dem_v),
-          bend_vias(ws.bend_vias),
-          pin_vias(ws.pin_vias),
           hist_h(ws.hist_h),
           hist_v(ws.hist_v),
+          dem_h(ws.dem_h),
+          dem_v(ws.dem_v),
           cost_h(ws.cost_h),
-          cost_v(ws.cost_v) {}
+          cost_v(ws.cost_v),
+          bend_vias(&ws.bend_vias) {}
+
+    /// Window copy of `live` for speculation (the copies are filled here).
+    RouteState(const RouteState& live, RerouteSlot& slot, const CellWindow& w)
+        : cfg(live.cfg),
+          cap_h(live.cap_h),
+          cap_v(live.cap_v),
+          hist_h(live.hist_h),
+          hist_v(live.hist_v),
+          dem_h(slot.dem_h),
+          dem_v(slot.dem_v),
+          cost_h(slot.cost_h),
+          cost_v(slot.cost_v),
+          bend_vias(nullptr),
+          ox(w.x0),
+          oy(w.y0) {
+        copy_window(live.dem_h, w, dem_h);
+        copy_window(live.dem_v, w, dem_v);
+        copy_window(live.cost_h, w, cost_h);
+        copy_window(live.cost_v, w, cost_v);
+    }
+
+    static void copy_window(const GridF& src, const CellWindow& w, GridF& dst) {
+        dst.resize(w.width(), w.height());  // within capacity: no allocation
+        for (int y = 0; y < w.height(); ++y)
+            std::copy_n(&src.at(w.x0, w.y0 + y), w.width(), &dst.at(0, y));
+    }
 
     double cell_cost(double dem, double cap, double hist) const {
         const double util = (dem + 1.0) / cap;
@@ -143,10 +176,10 @@ struct RouteState {
     }
 
     void refresh_cost(int x, int y) {
-        cost_h.at(x, y) = cell_cost(dem_h.at(x, y), cap_h.at(x, y),
-                                    hist_h.at(x, y));
-        cost_v.at(x, y) = cell_cost(dem_v.at(x, y), cap_v.at(x, y),
-                                    hist_v.at(x, y));
+        cost_h.at(x, y) = cell_cost(dem_h.at(x, y), cap_h.at(x + ox, y + oy),
+                                    hist_h.at(x + ox, y + oy));
+        cost_v.at(x, y) = cell_cost(dem_v.at(x, y), cap_v.at(x + ox, y + oy),
+                                    hist_v.at(x + ox, y + oy));
     }
 
     /// Elementwise, so the parallel version is trivially deterministic.
@@ -177,8 +210,26 @@ struct RouteState {
             }
         }
         // One via per bend, charged at the end cell of the earlier span.
+        if (bend_vias == nullptr) return;
         for (size_t i = 0; i + 1 < p.segs.size(); ++i) {
-            bend_vias.at(p.segs[i].x1, p.segs[i].y1) += sign;
+            bend_vias->at(p.segs[i].x1, p.segs[i].y1) += sign;
+        }
+    }
+
+    /// Route connection a-b (in this state's coordinates, its old path
+    /// already ripped up) into `p`: the pattern route, escalated to a maze
+    /// search when L/Z patterns cannot escape the overflow (maze cost <=
+    /// pattern cost by construction). Read-only on the grids, and every
+    /// cell it reads lies in the maze window of a-b.
+    void route(int ax, int ay, int bx, int by, PatternScratch& ps,
+               RoutePath& p) const {
+        const RouteCostModel model{&cost_h, &cost_v, 1.0};
+        pattern_route_into(ax, ay, bx, by, model, cfg.max_bend_candidates, ps,
+                           p);
+        if (cfg.maze_fallback && path_would_overflow(p)) {
+            RoutePath mz = maze_route(ax, ay, bx, by, model, cfg.maze);
+            if (!mz.segs.empty() && path_cost(mz, model) < path_cost(p, model))
+                p = std::move(mz);
         }
     }
 
@@ -187,11 +238,13 @@ struct RouteState {
             if (s.horizontal()) {
                 const int lo = std::min(s.x0, s.x1), hi = std::max(s.x0, s.x1);
                 for (int x = lo; x <= hi; ++x)
-                    if (dem_h.at(x, s.y0) > cap_h.at(x, s.y0)) return true;
+                    if (dem_h.at(x, s.y0) > cap_h.at(x + ox, s.y0 + oy))
+                        return true;
             } else {
                 const int lo = std::min(s.y0, s.y1), hi = std::max(s.y0, s.y1);
                 for (int y = lo; y <= hi; ++y)
-                    if (dem_v.at(s.x0, y) > cap_v.at(s.x0, y)) return true;
+                    if (dem_v.at(s.x0, y) > cap_v.at(s.x0 + ox, y + oy))
+                        return true;
             }
         }
         return false;
@@ -223,13 +276,13 @@ struct RouteState {
                 const int lo = std::min(s.x0, s.x1), hi = std::max(s.x0, s.x1);
                 for (int x = lo; x <= hi; ++x)
                     if (dem_h.at(x, s.y0) + coverage(true, x, s.y0) >
-                        cap_h.at(x, s.y0))
+                        cap_h.at(x + ox, s.y0 + oy))
                         return true;
             } else {
                 const int lo = std::min(s.y0, s.y1), hi = std::max(s.y0, s.y1);
                 for (int y = lo; y <= hi; ++y)
                     if (dem_v.at(s.x0, y) + coverage(false, s.x0, y) >
-                        cap_v.at(s.x0, y))
+                        cap_v.at(s.x0 + ox, y + oy))
                         return true;
             }
         }
@@ -254,6 +307,136 @@ void accumulate_path(GridF& dem_h, GridF& dem_v, GridF& bend_vias,
     }
     for (size_t i = 0; i + 1 < p.segs.size(); ++i)
         bend_vias.at(p.segs[i].x1, p.segs[i].y1) += sign;
+}
+
+/// Shift every span of `p` by (dx, dy).
+void translate(RoutePath& p, int dx, int dy) {
+    for (RouteSeg& s : p.segs) {
+        s.x0 += dx;
+        s.x1 += dx;
+        s.y0 += dy;
+        s.y1 += dy;
+    }
+}
+
+/// One rip-up-and-reroute pass over `order`, bitwise identical to
+/// rerouting every connection that overflows, one at a time in order
+/// (DESIGN.md §9). It runs in waves of the next K = helpers.width()
+/// overflowing connections, rerouted at once: the first on the live grids
+/// (it commits first), each other one on a copy of its maze window, while
+/// that window covers at most 1/K of the grid. The leader then commits
+/// the wave in order for as long as no span committed since the copies
+/// were taken touches the next window. At one thread every wave is one
+/// reroute on the live grids: the serial loop.
+void reroute_pass(RouteState& st, RouterScratch& ws,
+                  const std::vector<RouteConn>& conns, par::Helpers& helpers,
+                  int& spec_committed, int& spec_discarded) {
+    const int nx = st.cost_h.width(), ny = st.cost_h.height();
+    const size_t width = static_cast<size_t>(helpers.width());
+    // K larger windows cannot all be disjoint.
+    const long long max_area =
+        static_cast<long long>(nx) * ny / static_cast<long long>(width);
+    if (ws.wave.size() < width) ws.wave.resize(width);
+    if (ws.slots.size() < width) {
+        ws.slots.resize(width);
+        // A lone participant copies nothing: its waves are one reroute.
+        if (width > 1)
+            for (RerouteSlot& sl : ws.slots)
+                for (GridF* g : {&sl.cost_h, &sl.cost_v, &sl.dem_h, &sl.dem_v})
+                    g->raw().reserve(static_cast<size_t>(max_area));
+    }
+    std::vector<RoutePath>& paths = ws.paths;
+    const std::vector<int>& order = ws.order;
+    std::vector<WaveTask>& wave = ws.wave;
+    std::vector<RouteSeg>& spans = ws.wave_spans;
+    auto path_of = [&](int conn) -> RoutePath& {
+        return paths[static_cast<size_t>(conn)];
+    };
+
+    // Reroute wave member i. The first is routed in place on the live
+    // grids; every other one on a copy of its window: everything its
+    // reroute reads lies there, and the kernels give the same result on a
+    // translated copy.
+    const std::function<void(size_t, int)> reroute_member = [&](size_t i,
+                                                                int slot) {
+        WaveTask& t = wave[i];
+        const RouteConn& c = conns[static_cast<size_t>(t.conn)];
+        RerouteSlot& sl = ws.slots[static_cast<size_t>(slot)];
+        if (i == 0) {
+            st.route(c.ax, c.ay, c.bx, c.by, sl.pattern, path_of(t.conn));
+            return;
+        }
+        const CellWindow& w = t.window;
+        RouteState local(st, sl, w);
+        t.path.segs = path_of(t.conn).segs;
+        translate(t.path, -w.x0, -w.y0);
+        local.commit(t.path, -1.0);
+        local.route(c.ax - w.x0, c.ay - w.y0, c.bx - w.x0, c.by - w.y0,
+                    sl.pattern, t.path);
+        translate(t.path, w.x0, w.y0);
+    };
+
+    size_t pos = 0;
+    while (true) {
+        // The wave: the next overflowing connections in order, ending
+        // before a second one whose window is too large to copy.
+        size_t n = 0;
+        for (size_t q = pos; q < order.size() && n < width; ++q) {
+            const int idx = order[q];
+            if (!st.path_overflows(path_of(idx))) continue;
+            const RouteConn& c = conns[static_cast<size_t>(idx)];
+            const CellWindow w =
+                maze_window(c.ax, c.ay, c.bx, c.by, nx, ny, st.cfg.maze);
+            if (n > 0 && w.area() > max_area) break;
+            wave[n].pos = static_cast<int>(q);
+            wave[n].conn = idx;
+            wave[n].window = w;
+            ++n;
+        }
+        if (n == 0) return;
+
+        // The first member is ripped up on the live grids before the
+        // copies are taken, so its later commit is the only change of
+        // the wave the copies have not seen.
+        st.commit(path_of(wave[0].conn), -1.0);
+        helpers.run(n, reroute_member);
+
+        // Commit walk, in order. It stops at the first member whose window
+        // a commit of this wave touched, or at a connection between two
+        // members that the commits pushed into overflow (the serial loop
+        // reroutes it there); the next wave starts at that point.
+        const RoutePath& first = path_of(wave[0].conn);
+        st.commit(first, +1.0);
+        if (n > 1) spans.assign(first.segs.begin(), first.segs.end());
+        pos = static_cast<size_t>(wave[n - 1].pos) + 1;
+        size_t accepted = 1;
+        for (; accepted < n; ++accepted) {
+            WaveTask& t = wave[accepted];
+            size_t q = static_cast<size_t>(wave[accepted - 1].pos) + 1;
+            while (q < static_cast<size_t>(t.pos) &&
+                   !st.path_overflows(path_of(order[q])))
+                ++q;
+            if (q < static_cast<size_t>(t.pos)) {
+                pos = q;
+                break;
+            }
+            if (std::any_of(spans.begin(), spans.end(), [&](const RouteSeg& s) {
+                    return t.window.touches(s);
+                })) {
+                pos = static_cast<size_t>(t.pos);
+                break;
+            }
+            RoutePath& p = path_of(t.conn);
+            assert(st.path_overflows(p));
+            st.commit(p, -1.0);
+            spans.insert(spans.end(), p.segs.begin(), p.segs.end());
+            p.segs.swap(t.path.segs);
+            st.commit(p, +1.0);
+            spans.insert(spans.end(), p.segs.begin(), p.segs.end());
+        }
+        spec_committed += static_cast<int>(accepted - 1);
+        spec_discarded += static_cast<int>(n - accepted);
+    }
 }
 
 // FNV-1a over 64-bit words: cheap, deterministic cache-identity hashing.
@@ -549,7 +732,6 @@ RouteResult GlobalRouter::route_impl(const Design& d,
     ws.bend_vias = S.bend_vias;
     ws.paths = S.paths;
     st.refresh_all_costs();
-    const RouteCostModel model{&ws.cost_h, &ws.cost_v, 1.0};
     std::vector<RoutePath>& paths = ws.paths;
 
     // Route short connections first (they have the fewest alternatives);
@@ -599,6 +781,7 @@ RouteResult GlobalRouter::route_impl(const Design& d,
     ws.best_dem_v = ws.dem_v;
     ws.best_bends = ws.bend_vias;
     int rounds_executed = 0, rounds_stalled = 0;
+    int spec_committed = 0, spec_discarded = 0;
 
     for (int round = 0; round < cfg_.rrr_rounds; ++round) {
         // Grow history costs where utilization exceeds capacity. Elementwise
@@ -631,24 +814,11 @@ RouteResult GlobalRouter::route_impl(const Design& d,
         ++rounds_executed;
         st.refresh_all_costs();
 
-        for (int idx : order) {
-            RoutePath& p = paths[static_cast<size_t>(idx)];
-            if (!st.path_overflows(p)) continue;
-            st.commit(p, -1.0);
-            const RouteConn& c = S.conns[static_cast<size_t>(idx)];
-            pattern_route_into(c.ax, c.ay, c.bx, c.by, model,
-                               cfg_.max_bend_candidates, ws.pattern, p);
-            // Escalate to a maze search when L/Z patterns cannot escape
-            // the overflow (maze cost <= pattern cost by construction).
-            if (cfg_.maze_fallback && st.path_would_overflow(p)) {
-                RoutePath mz = maze_route(c.ax, c.ay, c.bx,
-                                          c.by, model, cfg_.maze);
-                if (!mz.segs.empty() &&
-                    path_cost(mz, model) < path_cost(p, model))
-                    p = std::move(mz);
-            }
-            st.commit(p, +1.0);
-        }
+        // One leader/helper region per round (DESIGN.md §9).
+        par::with_helpers([&](par::Helpers& helpers) {
+            reroute_pass(st, ws, S.conns, helpers, spec_committed,
+                         spec_discarded);
+        });
 
         // Invariant audit: a rip-up/reroute round must leave edge usage
         // equal to the committed segments (every commit(-1) matched by a
@@ -704,6 +874,8 @@ RouteResult GlobalRouter::route_impl(const Design& d,
     res.overflowed_gcells = res.congestion.overflowed_cells();
     res.rrr_rounds_executed = rounds_executed;
     res.rrr_rounds_stalled = rounds_stalled;
+    res.rrr_spec_committed = spec_committed;
+    res.rrr_spec_discarded = spec_discarded;
     res.inc_conns_total = static_cast<int>(S.conns.size());
     res.inc_conns_rerouted = static_cast<int>(todo.size());
     res.inc_nets_rerouted = nets_rerouted;

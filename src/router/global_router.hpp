@@ -87,6 +87,13 @@ struct RouteResult {
     /// signal the recovery layer (src/recover) consumes.
     int rrr_rounds_executed = 0;
     int rrr_rounds_stalled = 0;
+    /// Speculative rip-up-and-reroute (DESIGN.md §9): reroutes computed
+    /// on window copies by a wave and committed, or discarded because the
+    /// wave's commit walk stopped at or before them. Reporting only; both
+    /// are 0 at one thread and vary with the thread count, while the
+    /// routing result does not.
+    int rrr_spec_committed = 0;
+    int rrr_spec_discarded = 0;
     /// Phase-A (initial pass) reconciliation statistics of this call.
     /// Reporting only: the routing result itself never depends on whether
     /// a persistent cache was in play. A stateless route() is a full

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "router/maze_route.hpp"
 #include "router/pattern_route.hpp"
 #include "util/grid2d.hpp"
 
@@ -53,6 +54,25 @@ struct IncrementalRouteStats {
     long long nets_rerouted = 0;  ///< nets with >= 1 phase-A reroute
 };
 
+/// One participant's rip-up-and-reroute buffers (DESIGN.md §9): pattern
+/// scratch and the window-local copies of the cost and demand grids,
+/// reserved once for the largest window a wave may copy.
+struct RerouteSlot {
+    GridF cost_h, cost_v;
+    GridF dem_h, dem_v;
+    PatternScratch pattern;
+};
+
+/// One reroute of an RRR wave: the connection, its position in the
+/// routing order, its maze window, and the path a window copy gave it
+/// (grid coordinates; the first member is routed in place).
+struct WaveTask {
+    int pos = 0;
+    int conn = 0;
+    CellWindow window;
+    RoutePath path;
+};
+
 /// Reusable per-call routing buffers (hoisted out of route() so repeated
 /// invocations through one state stop allocating; a stateless route()
 /// carries a short-lived instance). Sized by RouterScratch-owning code.
@@ -70,7 +90,9 @@ struct RouterScratch {
     std::vector<int> pin_bin;           ///< this call's pin-bin signature
     std::vector<unsigned char> net_changed;
     std::vector<int> dirty_sat;         ///< (nx+1)*(ny+1) dirty-cell SAT
-    PatternScratch pattern;             ///< serial (RRR) pattern buffers
+    std::vector<RerouteSlot> slots;     ///< per wave participant
+    std::vector<WaveTask> wave;         ///< the current RRR wave
+    std::vector<RouteSeg> wave_spans;   ///< spans the wave committed
 
     /// Size every working grid to nx x ny and zero it (keeps capacity).
     void reset(int nx, int ny);

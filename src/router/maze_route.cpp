@@ -20,20 +20,24 @@ struct QEntry {
 
 }  // namespace
 
+CellWindow maze_window(int x0, int y0, int x1, int y1, int nx, int ny,
+                       const MazeConfig& cfg) {
+    return {std::max(std::min(x0, x1) - cfg.window_margin, 0),
+            std::max(std::min(y0, y1) - cfg.window_margin, 0),
+            std::min(std::max(x0, x1) + cfg.window_margin, nx - 1),
+            std::min(std::max(y0, y1) + cfg.window_margin, ny - 1)};
+}
+
 RoutePath maze_route(int x0, int y0, int x1, int y1, const RouteCostModel& m,
                      const MazeConfig& cfg) {
     const GridF& ch = *m.cost_h;
     const GridF& cv = *m.cost_v;
 
-    // Window around the endpoints.
-    const int wx0 = std::max(std::min(x0, x1) - cfg.window_margin, 0);
-    const int wy0 = std::max(std::min(y0, y1) - cfg.window_margin, 0);
-    const int wx1 = std::min(std::max(x0, x1) + cfg.window_margin,
-                             ch.width() - 1);
-    const int wy1 = std::min(std::max(y0, y1) + cfg.window_margin,
-                             ch.height() - 1);
-    const int w = wx1 - wx0 + 1;
-    const int h = wy1 - wy0 + 1;
+    const CellWindow win =
+        maze_window(x0, y0, x1, y1, ch.width(), ch.height(), cfg);
+    const int wx0 = win.x0, wy0 = win.y0, wx1 = win.x1, wy1 = win.y1;
+    const int w = win.width();
+    const int h = win.height();
     const int wh = w * h;
 
     auto node = [&](int x, int y, int dir) {

@@ -7,6 +7,9 @@
 // hpwl_final, route_best_iter, and the recovery event sequence (stage,
 // kind, action, iteration) — clean runs of two small designs in all three
 // PlacerModes, plus one run per injected fault the recovery suite uses.
+// A second digest per run pins the evaluation routing of the final
+// placement (evaluate_placement's DRWL, #vias and #DRVs at twice the
+// placement grid, as the Table I harness scores it).
 //
 // A mismatch prints the actual digest. Moving one on purpose means editing
 // the table below and saying in the change log why the bits moved.
@@ -19,6 +22,7 @@
 #include <string>
 
 #include "benchgen/generator.hpp"
+#include "eval/route_metrics.hpp"
 #include "place/global_placer.hpp"
 #include "recover/durable_checkpoint.hpp"
 #include "recover/fault_injection.hpp"
@@ -55,6 +59,13 @@ uint64_t result_digest(const PlaceResult& r) {
         h = mix(h, &e.iter, sizeof(e.iter));
     }
     return h;
+}
+
+uint64_t eval_digest(const EvalMetrics& m) {
+    uint64_t h = recover::kFnvOffset;
+    h = mix(h, &m.drwl, sizeof(m.drwl));
+    h = mix(h, &m.vias, sizeof(m.vias));
+    return mix(h, &m.drvs, sizeof(m.drvs));
 }
 
 GeneratorConfig design_a() {
@@ -107,15 +118,26 @@ protected:
 
     static void expect_digest(const char* name, const GeneratorConfig& gen,
                               const PlacerConfig& cfg, uint64_t golden,
+                              uint64_t eval_golden,
                               const FaultSpec* fault = nullptr) {
         recover::fault::clear();
         if (fault != nullptr) recover::fault::arm(*fault);
         const PlaceResult res = GlobalPlacer(cfg).place(generate_circuit(gen));
         recover::fault::clear();
+        EvalConfig ec;
+        ec.grid_bins = 2 * cfg.grid_bins;
         const uint64_t got = result_digest(res);
-        char hex[32];
-        std::snprintf(hex, sizeof(hex), "0x%016" PRIx64 "ull", got);
-        EXPECT_EQ(got, golden) << name << ": actual digest " << hex;
+        const uint64_t got_eval =
+            eval_digest(evaluate_placement(res.placed, ec));
+        EXPECT_EQ(got, golden) << name << ": actual digest " << hex(got);
+        EXPECT_EQ(got_eval, eval_golden)
+            << name << ": actual evaluation digest " << hex(got_eval);
+    }
+
+    static std::string hex(uint64_t v) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "0x%016" PRIx64 "ull", v);
+        return buf;
     }
 };
 
@@ -125,45 +147,50 @@ TEST_F(GoldenTest, CleanRunsInEveryMode) {
         GeneratorConfig gen;
         PlacerMode mode;
         uint64_t golden;
+        uint64_t eval_golden;
     };
     const Run runs[] = {
         {"a/wirelength-only", design_a(), PlacerMode::WirelengthOnly,
-         0xdbdf00b14d91872aull},
+         0xdbdf00b14d91872aull, 0x8e153f1c1c97ec8cull},
         {"a/route-baseline", design_a(), PlacerMode::RouteBaseline,
-         0xadeaae444211b656ull},
-        {"a/ours", design_a(), PlacerMode::Ours, 0xdc349d30566be85eull},
+         0xadeaae444211b656ull, 0xdac6858ebe69fdc0ull},
+        {"a/ours", design_a(), PlacerMode::Ours, 0xdc349d30566be85eull,
+         0x0858a3f5338ae34dull},
         {"b/wirelength-only", design_b(), PlacerMode::WirelengthOnly,
-         0x071d127d5e2ce08eull},
+         0x071d127d5e2ce08eull, 0x30cb93888de4d733ull},
         {"b/route-baseline", design_b(), PlacerMode::RouteBaseline,
-         0xec1c4d5dbde8cf32ull},
-        {"b/ours", design_b(), PlacerMode::Ours, 0xf67541121781dff9ull},
+         0xec1c4d5dbde8cf32ull, 0x30cb93888de4d733ull},
+        {"b/ours", design_b(), PlacerMode::Ours, 0xf67541121781dff9ull,
+         0x8333d7f9b28f3caaull},
     };
     for (const Run& r : runs)
-        expect_digest(r.name, r.gen, short_cfg(r.mode), r.golden);
+        expect_digest(r.name, r.gen, short_cfg(r.mode), r.golden,
+                      r.eval_golden);
 }
 
 TEST_F(GoldenTest, EveryRecoveryPath) {
     struct Run {
         FaultSpec spec;
         uint64_t golden;
+        uint64_t eval_golden;
     };
     const Run runs[] = {
         {{"wirelength-gp", FaultKind::GradientNaN, 30, 1},
-         0x6c62e032131cd4dcull},
+         0x6c62e032131cd4dcull, 0xb80af5292a250ad6ull},
         {{"wirelength-gp", FaultKind::HpwlExplosion, 30, 1},
-         0xe58777046edf9ca8ull},
+         0xe58777046edf9ca8ull, 0xb80af5292a250ad6ull},
         {{"routability-gp", FaultKind::GradientNaN, 1, 1},
-         0x1c1a389806eb25b9ull},
+         0x1c1a389806eb25b9ull, 0xbeb5edbfa3793b7full},
         {{"routability-gp", FaultKind::HpwlExplosion, 1, 1},
-         0xe115d6201314d69full},
+         0xe115d6201314d69full, 0xbeb5edbfa3793b7full},
         {{"routability-gp", FaultKind::CorruptedDemand, 1, 1},
-         0xe66738a90e993e2eull},
+         0xe66738a90e993e2eull, 0x0858a3f5338ae34dull},
         {{"routability-gp", FaultKind::RouterNoProgress, 1, 1},
-         0xd5ae40a64674619bull},
+         0xd5ae40a64674619bull, 0x0d05e8a58399a107ull},
         {{"routability-gp", FaultKind::CorruptedBudget, 1, 1},
-         0x24cb8ede09b97b26ull},
+         0x24cb8ede09b97b26ull, 0x0858a3f5338ae34dull},
         {{"routability-gp", FaultKind::OverflowOscillation, 0, 16},
-         0xd8d897f46b335058ull},
+         0xd8d897f46b335058ull, 0x05e8a586ce2f5765ull},
     };
     for (const Run& r : runs) {
         PlacerConfig cfg = short_cfg(PlacerMode::Ours);
@@ -175,7 +202,8 @@ TEST_F(GoldenTest, EveryRecoveryPath) {
         }
         const std::string name = r.spec.stage + ":" +
                                  recover::fault_kind_name(r.spec.kind);
-        expect_digest(name.c_str(), design_a(), cfg, r.golden, &r.spec);
+        expect_digest(name.c_str(), design_a(), cfg, r.golden, r.eval_golden,
+                      &r.spec);
     }
 }
 

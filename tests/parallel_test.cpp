@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "benchgen/generator.hpp"
@@ -128,6 +129,104 @@ TEST(ParallelReduceTest, NestedParallelRunsInline) {
     EXPECT_DOUBLE_EQ(nested, 256.0 * (64.0 * 65.0 / 2.0));
 }
 
+/// Runs `batches` batches of 0..12 tasks through one helper region and
+/// checks each task ran exactly once, on a slot below width().
+void expect_every_task_once(int batches, int expected_width) {
+    par::with_helpers([&](par::Helpers& h) {
+        EXPECT_EQ(h.width(), expected_width);
+        std::vector<int> hits;
+        std::vector<int> slot_ok;
+        for (int b = 0; b < batches; ++b) {
+            const size_t n = static_cast<size_t>(b % 13);
+            hits.assign(n, 0);
+            slot_ok.assign(n, 0);
+            h.run(n, [&](size_t i, int slot) {
+                ++hits[i];
+                slot_ok[i] = slot >= 0 && slot < h.width() ? 1 : 0;
+            });
+            for (size_t i = 0; i < n; ++i) {
+                ASSERT_EQ(hits[i], 1) << "batch " << b << " task " << i;
+                ASSERT_EQ(slot_ok[i], 1) << "batch " << b << " task " << i;
+            }
+        }
+    });
+}
+
+TEST(HelpersTest, RunsEveryTaskOnce) {
+    ThreadGuard guard;
+    par::set_max_threads(4);
+    expect_every_task_once(3000, 4);
+}
+
+TEST(HelpersTest, OneThreadRunsInlineOnTheLeader) {
+    ThreadGuard guard;
+    par::set_max_threads(1);
+    expect_every_task_once(200, 1);
+    const auto leader = std::this_thread::get_id();
+    par::with_helpers([&](par::Helpers& h) {
+        h.run(16, [&](size_t, int slot) {
+            EXPECT_EQ(slot, 0);
+            EXPECT_EQ(std::this_thread::get_id(), leader);
+        });
+    });
+}
+
+TEST(HelpersTest, NestedRegionRunsInline) {
+    ThreadGuard guard;
+    par::set_max_threads(4);
+    // Inside a pool region there are no helpers to be had: the region and
+    // any parallel call inside it run inline, with the same results.
+    par::parallel_for(4, 1, [&](size_t b, size_t e) {
+        for (size_t c = b; c < e; ++c) {
+            const auto me = std::this_thread::get_id();
+            par::with_helpers([&](par::Helpers& h) {
+                EXPECT_EQ(h.width(), 1);
+                double acc = 0.0;
+                h.run(8, [&](size_t i, int slot) {
+                    EXPECT_EQ(slot, 0);
+                    EXPECT_EQ(std::this_thread::get_id(), me);
+                    acc += par::parallel_sum(
+                        256, 16, [&](size_t ib, size_t ie) {
+                            return static_cast<double>(ie - ib) *
+                                   static_cast<double>(i + 1);
+                        });
+                });
+                EXPECT_DOUBLE_EQ(acc, 256.0 * 36.0);
+            });
+        }
+    });
+    // A pool call from inside a helper region's tasks runs inline too.
+    par::with_helpers([&](par::Helpers& h) {
+        std::vector<double> sums(32, 0.0);
+        h.run(sums.size(), [&](size_t i, int) {
+            sums[i] = par::parallel_sum(1000, 10, [&](size_t ib, size_t ie) {
+                return static_cast<double>(ie - ib);
+            });
+        });
+        for (double v : sums) EXPECT_DOUBLE_EQ(v, 1000.0);
+    });
+}
+
+TEST(HelpersTest, OversubscribedHelpersFinish) {
+    ThreadGuard guard;
+    // More participants than the host has cores: helpers park between
+    // batches, and the leader never waits for one that has not claimed a
+    // task, so this terminates instead of livelocking.
+    par::set_max_threads(8);
+    expect_every_task_once(3000, 8);
+    std::vector<double> out(8, 0.0);
+    par::with_helpers([&](par::Helpers& h) {
+        for (int b = 0; b < 200; ++b) {
+            h.run(out.size(), [&](size_t i, int) {
+                double acc = 0.0;
+                for (int k = 0; k < 20000; ++k) acc += 1e-3 * (k % 7);
+                out[i] += acc;
+            });
+        }
+    });
+    for (double v : out) EXPECT_EQ(v, out[0]);
+}
+
 Design test_design(int cells, uint64_t seed) {
     GeneratorConfig cfg;
     cfg.name = "par-test";
@@ -180,6 +279,53 @@ TEST(KernelDeterminismTest, GlobalRouter) {
                                r.num_vias, r.demand_h.raw(), r.demand_v.raw(),
                                r.bend_vias.raw(), r.pin_vias.raw());
     });
+}
+
+/// Routes `d` on an n x n grid at 1, 2, 3, 4 and 7 threads. The result
+/// must be bitwise equal at every count, and the RRR waves must both
+/// commit and discard speculative reroutes once there is a second thread
+/// (neither at one thread). The 32x32 case above barely speculates at 4+
+/// threads: every maze window not clamped at a grid edge (17x17 or more)
+/// exceeds 1/K of the grid.
+void expect_speculation_exact(const Design& d, int n, const RouterConfig& rc) {
+    ThreadGuard guard;
+    const GlobalRouter router(BinGrid(d.region, n, n), rc);
+    auto bits = [](const RouteResult& r) {
+        return std::make_tuple(r.wirelength_dbu, r.total_overflow, r.num_vias,
+                               r.overflowed_gcells, r.rrr_rounds_executed,
+                               r.rrr_rounds_stalled, r.demand_h.raw(),
+                               r.demand_v.raw(), r.bend_vias.raw(),
+                               r.pin_vias.raw(), r.congestion.demand().raw());
+    };
+    par::set_max_threads(1);
+    const RouteResult base = router.route(d);
+    EXPECT_EQ(base.rrr_spec_committed, 0);
+    EXPECT_EQ(base.rrr_spec_discarded, 0);
+    for (int t : {2, 3, 4, 7}) {
+        par::set_max_threads(t);
+        const RouteResult r = router.route(d);
+        EXPECT_TRUE(bits(r) == bits(base)) << "result differs at " << t
+                                           << " threads";
+        EXPECT_GT(r.rrr_spec_committed, 0) << t << " threads";
+        EXPECT_GT(r.rrr_spec_discarded, 0) << t << " threads";
+    }
+}
+
+// Congested, but with most connections routing cleanly: a commit of one
+// wave member can then push a connection between two members into
+// overflow, which the commit walk must catch.
+TEST(KernelDeterminismTest, GlobalRouterSpeculatesOnCongested64) {
+    RouterConfig rc;
+    rc.rrr_rounds = 2;
+    for (LayerSpec& l : rc.layers) l.capacity *= 2.0;
+    expect_speculation_exact(test_design(300, 7), 64, rc);
+}
+
+TEST(KernelDeterminismTest, GlobalRouterSpeculatesOn128) {
+    RouterConfig rc;
+    rc.rrr_rounds = 2;
+    for (LayerSpec& l : rc.layers) l.capacity *= 3.0;
+    expect_speculation_exact(test_design(300, 7), 128, rc);
 }
 
 TEST(KernelDeterminismTest, NetMovingGradient) {

@@ -248,6 +248,127 @@ TEST_F(MazeRouteTest, WindowClampsSearch) {
     }
 }
 
+/// The exactness of speculative rip-up-and-reroute (DESIGN.md §9) rests on
+/// this property: routed on a copy of its maze window with translated
+/// endpoints, a connection gets the translated full-grid route and cost,
+/// bit for bit. Rectangular grid, so a swapped axis cannot hide.
+class WindowTranslationTest : public ::testing::Test {
+protected:
+    static constexpr int kNx = 40, kNy = 32;
+    GridF cost_h_{kNx, kNy, 1.0};
+    GridF cost_v_{kNx, kNy, 1.0};
+
+    static GridF crop(const GridF& g, const CellWindow& w) {
+        GridF out(w.width(), w.height());
+        for (int y = 0; y < w.height(); ++y)
+            for (int x = 0; x < w.width(); ++x)
+                out.at(x, y) = g.at(w.x0 + x, w.y0 + y);
+        return out;
+    }
+
+    static RoutePath shifted(RoutePath p, int dx, int dy) {
+        for (RouteSeg& s : p.segs) {
+            s.x0 += dx;
+            s.x1 += dx;
+            s.y0 += dy;
+            s.y1 += dy;
+        }
+        return p;
+    }
+
+    static void expect_same(const RoutePath& a, const RoutePath& b) {
+        ASSERT_EQ(a.segs.size(), b.segs.size());
+        for (size_t i = 0; i < a.segs.size(); ++i) {
+            const RouteSeg &s = a.segs[i], &t = b.segs[i];
+            EXPECT_TRUE(s.x0 == t.x0 && s.y0 == t.y0 && s.x1 == t.x1 &&
+                        s.y1 == t.y1 && s.dir == t.dir)
+                << "span " << i;
+        }
+    }
+
+    CellWindow expect_exact(int x0, int y0, int x1, int y1,
+                            const MazeConfig& cfg = {}) {
+        SCOPED_TRACE(::testing::Message() << "(" << x0 << "," << y0 << ")->("
+                                          << x1 << "," << y1 << ")");
+        const CellWindow w = maze_window(x0, y0, x1, y1, kNx, kNy, cfg);
+        const GridF lh = crop(cost_h_, w), lv = crop(cost_v_, w);
+        const RouteCostModel full{&cost_h_, &cost_v_, 1.0};
+        const RouteCostModel local{&lh, &lv, 1.0};
+        const int ax = x0 - w.x0, ay = y0 - w.y0;
+        const int bx = x1 - w.x0, by = y1 - w.y0;
+
+        const RoutePath mz = maze_route(x0, y0, x1, y1, full, cfg);
+        const RoutePath mz_local = maze_route(ax, ay, bx, by, local, cfg);
+        expect_same(mz, shifted(mz_local, w.x0, w.y0));
+        EXPECT_EQ(path_cost(mz, full), path_cost(mz_local, local));
+
+        PatternScratch ps;
+        RoutePath pat, pat_local;
+        pattern_route_into(x0, y0, x1, y1, full, 12, ps, pat);
+        pattern_route_into(ax, ay, bx, by, local, 12, ps, pat_local);
+        expect_same(pat, shifted(pat_local, w.x0, w.y0));
+        EXPECT_EQ(path_cost(pat, full), path_cost(pat_local, local));
+        return w;
+    }
+};
+
+TEST_F(WindowTranslationTest, TieHeavyUniformCosts) {
+    Rng rng(31);
+    for (int trial = 0; trial < 40; ++trial) {
+        expect_exact(rng.uniform_int(0, kNx - 1), rng.uniform_int(0, kNy - 1),
+                     rng.uniform_int(0, kNx - 1), rng.uniform_int(0, kNy - 1));
+    }
+    // Few distinct values: ties between unequal paths as well.
+    for (auto& v : cost_h_) v = rng.uniform_int(1, 3);
+    for (auto& v : cost_v_) v = rng.uniform_int(1, 3);
+    for (int trial = 0; trial < 40; ++trial) {
+        expect_exact(rng.uniform_int(0, kNx - 1), rng.uniform_int(0, kNy - 1),
+                     rng.uniform_int(0, kNx - 1), rng.uniform_int(0, kNy - 1));
+    }
+}
+
+TEST_F(WindowTranslationTest, RandomCosts) {
+    Rng rng(37);
+    MazeConfig narrow;
+    narrow.window_margin = 3;
+    for (int trial = 0; trial < 40; ++trial) {
+        for (auto& v : cost_h_) v = rng.uniform(0.5, 8.0);
+        for (auto& v : cost_v_) v = rng.uniform(0.5, 8.0);
+        const int x0 = rng.uniform_int(0, kNx - 1);
+        const int y0 = rng.uniform_int(0, kNy - 1);
+        const int x1 = rng.uniform_int(0, kNx - 1);
+        const int y1 = rng.uniform_int(0, kNy - 1);
+        expect_exact(x0, y0, x1, y1);
+        expect_exact(x0, y0, x1, y1, narrow);
+    }
+}
+
+TEST_F(WindowTranslationTest, WindowsClampedAtEveryEdge) {
+    Rng rng(41);
+    for (auto& v : cost_h_) v = rng.uniform(0.5, 8.0);
+    for (auto& v : cost_v_) v = rng.uniform(0.5, 8.0);
+    // Interior window first, then one clamped at each edge in turn.
+    const CellWindow mid = expect_exact(15, 12, 22, 17);
+    EXPECT_TRUE(mid.x0 > 0 && mid.y0 > 0 && mid.x1 < kNx - 1 &&
+                mid.y1 < kNy - 1);
+    const CellWindow left = expect_exact(2, 12, 9, 18);
+    EXPECT_EQ(left.x0, 0);
+    EXPECT_GT(left.x1, 9);
+    const CellWindow right = expect_exact(kNx - 8, 11, kNx - 2, 16);
+    EXPECT_EQ(right.x1, kNx - 1);
+    EXPECT_LT(right.x0, kNx - 8);
+    const CellWindow bottom = expect_exact(14, 1, 20, 6);
+    EXPECT_EQ(bottom.y0, 0);
+    EXPECT_GT(bottom.y1, 6);
+    const CellWindow top = expect_exact(13, kNy - 6, 19, kNy - 1);
+    EXPECT_EQ(top.y1, kNy - 1);
+    EXPECT_LT(top.y0, kNy - 6);
+    // All four at once.
+    const CellWindow all = expect_exact(1, kNy - 2, kNx - 2, 1);
+    EXPECT_TRUE(all.x0 == 0 && all.y0 == 0 && all.x1 == kNx - 1 &&
+                all.y1 == kNy - 1);
+}
+
 TEST(GlobalRouterTest, MazeFallbackReducesOverflow) {
     GeneratorConfig cfg;
     cfg.name = "congested";
