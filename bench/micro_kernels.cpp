@@ -34,12 +34,13 @@ using namespace rdp;
 
 void BM_Fft(benchmark::State& state) {
     const int n = static_cast<int>(state.range(0));
+    const FftPlan& plan = fft_plan(n);
     Rng rng(1);
     std::vector<Complex> a(static_cast<size_t>(n));
     for (auto& v : a) v = {rng.uniform(), rng.uniform()};
     for (auto _ : state) {
         auto copy = a;
-        fft(copy, false);
+        plan.forward(copy.data());
         benchmark::DoNotOptimize(copy.data());
     }
     state.SetComplexityN(n);
@@ -58,182 +59,12 @@ void BM_Dct2(benchmark::State& state) {
 }
 BENCHMARK(BM_Dct2)->Range(64, 1024);
 
-/// Pins the pool to one worker for kernel-vs-kernel comparisons.
+/// Pins the pool to one worker: kernel speed, not thread scaling.
 struct OneThreadGuard {
     int saved = par::max_threads();
     OneThreadGuard() { par::set_max_threads(1); }
     ~OneThreadGuard() { par::set_max_threads(saved); }
 };
-
-// --- Legacy spectral kernel baseline -------------------------------------
-// Faithful copy of the pre-plan-cache solver stack: recurrence-twiddle
-// N-point complex FFT, DCT-II through a *full-size* complex FFT, strided
-// column walks instead of blocked transposes, and per-solve allocation of
-// the input copy, the column scratch, and all three result grids. Kept so
-// BENCH_poisson.json records the speedup of the planned kernels against the
-// exact code they replaced, on the same host, in the same binary.
-namespace legacy {
-
-void fft(std::vector<Complex>& a, bool inverse) {
-    const int n = static_cast<int>(a.size());
-    if (n <= 1) return;
-    for (int i = 1, j = 0; i < n; ++i) {
-        int bit = n >> 1;
-        for (; j & bit; bit >>= 1) j ^= bit;
-        j ^= bit;
-        if (i < j) std::swap(a[i], a[j]);
-    }
-    for (int len = 2; len <= n; len <<= 1) {
-        const double ang = 2.0 * M_PI / len * (inverse ? 1.0 : -1.0);
-        const Complex wlen(std::cos(ang), std::sin(ang));
-        for (int i = 0; i < n; i += len) {
-            Complex w(1.0, 0.0);
-            for (int j = 0; j < len / 2; ++j) {
-                const Complex u = a[i + j];
-                const Complex v = a[i + j + len / 2] * w;
-                a[i + j] = u + v;
-                a[i + j + len / 2] = u - v;
-                w *= wlen;
-            }
-        }
-    }
-    if (inverse) {
-        const double inv = 1.0 / n;
-        for (auto& x : a) x *= inv;
-    }
-}
-
-struct Dct1d {
-    int n;
-    std::vector<Complex> buf;
-    std::vector<double> tc, ts, tmp;
-
-    explicit Dct1d(int n_in)
-        : n(n_in),
-          buf(static_cast<size_t>(n_in)),
-          tc(static_cast<size_t>(n_in)),
-          ts(static_cast<size_t>(n_in)),
-          tmp(static_cast<size_t>(n_in)) {
-        for (int k = 0; k < n; ++k) {
-            const double ang = M_PI * k / (2.0 * n);
-            tc[static_cast<size_t>(k)] = std::cos(ang);
-            ts[static_cast<size_t>(k)] = std::sin(ang);
-        }
-    }
-
-    void dct2(double* x) {
-        for (int i = 0; i * 2 < n; ++i) buf[static_cast<size_t>(i)] = x[2 * i];
-        for (int i = 0; i * 2 + 1 < n; ++i)
-            buf[static_cast<size_t>(n - 1 - i)] = x[2 * i + 1];
-        fft(buf, false);
-        for (int k = 0; k < n; ++k)
-            x[k] = buf[static_cast<size_t>(k)].real() *
-                       tc[static_cast<size_t>(k)] +
-                   buf[static_cast<size_t>(k)].imag() *
-                       ts[static_cast<size_t>(k)];
-    }
-
-    void idct2(double* x) {
-        for (int k = 0; k < n; ++k) {
-            const double re = x[k];
-            const double im = (k == 0) ? 0.0 : -x[n - k];
-            const double c = tc[static_cast<size_t>(k)];
-            const double s = ts[static_cast<size_t>(k)];
-            buf[static_cast<size_t>(k)] = {re * c - im * s, re * s + im * c};
-        }
-        fft(buf, true);
-        for (int i = 0; i * 2 < n; ++i)
-            x[2 * i] = buf[static_cast<size_t>(i)].real();
-        for (int i = 0; i * 2 + 1 < n; ++i)
-            x[2 * i + 1] = buf[static_cast<size_t>(n - 1 - i)].real();
-    }
-
-    void dct3(double* x) {
-        x[0] *= n;
-        for (int k = 1; k < n; ++k) x[k] *= n / 2.0;
-        idct2(x);
-    }
-
-    void idxst(double* x) {
-        tmp[0] = 0.0;
-        for (int k = 1; k < n; ++k) tmp[static_cast<size_t>(k)] = x[n - k];
-        std::copy(tmp.begin(), tmp.end(), x);
-        dct3(x);
-        for (int i = 1; i < n; i += 2) x[i] = -x[i];
-    }
-
-    void apply(int kind, double* x) {
-        if (kind == 0)
-            dct2(x);
-        else if (kind == 1)
-            dct3(x);
-        else
-            idxst(x);
-    }
-};
-
-struct Solver {
-    int w, h;
-    Dct1d row_ws, col_ws;
-
-    Solver(int w_in, int h_in)
-        : w(w_in), h(h_in), row_ws(w_in), col_ws(h_in) {}
-
-    void rows(GridF& g, int kind) {
-        for (int y = 0; y < h; ++y) row_ws.apply(kind, &g.at(0, y));
-    }
-
-    void cols(GridF& g, int kind) {
-        std::vector<double> col(static_cast<size_t>(h));
-        for (int x = 0; x < w; ++x) {
-            for (int y = 0; y < h; ++y)
-                col[static_cast<size_t>(y)] = g.at(x, y);
-            col_ws.apply(kind, col.data());
-            for (int y = 0; y < h; ++y)
-                g.at(x, y) = col[static_cast<size_t>(y)];
-        }
-    }
-
-    PoissonSolution solve(const GridF& rho) {
-        GridF a = rho;
-        double sum = 0.0;
-        for (const double v : a) sum += v;
-        const double mean = sum / static_cast<double>(a.size());
-        for (auto& v : a) v -= mean;
-
-        rows(a, 0);
-        cols(a, 0);
-        const double inv_mn = 1.0 / (static_cast<double>(w) * h);
-        PoissonSolution sol;
-        sol.potential = GridF(w, h);
-        sol.field_x = GridF(w, h);
-        sol.field_y = GridF(w, h);
-        for (int v = 0; v < h; ++v) {
-            const double wv = M_PI * v / h;
-            const double pv = (v == 0) ? 1.0 : 2.0;
-            for (int u = 0; u < w; ++u) {
-                const double wu = M_PI * u / w;
-                const double pu = (u == 0) ? 1.0 : 2.0;
-                const double denom = wu * wu + wv * wv;
-                const double c = denom > 0.0
-                                     ? a.at(u, v) * pu * pv * inv_mn / denom
-                                     : 0.0;
-                sol.potential.at(u, v) = c;
-                sol.field_x.at(u, v) = c * wu;
-                sol.field_y.at(u, v) = c * wv;
-            }
-        }
-        rows(sol.potential, 1);
-        cols(sol.potential, 1);
-        rows(sol.field_x, 2);
-        cols(sol.field_x, 1);
-        rows(sol.field_y, 1);
-        cols(sol.field_y, 2);
-        return sol;
-    }
-};
-
-}  // namespace legacy
 
 GridF bench_density_grid(int n) {
     Rng rng(3);
@@ -254,24 +85,6 @@ void BM_PoissonSolve(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_PoissonSolve)
-    ->Arg(64)
-    ->Arg(128)
-    ->Arg(256)
-    ->Arg(512)
-    ->Arg(1024)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_PoissonSolveLegacy(benchmark::State& state) {
-    OneThreadGuard one;
-    const int n = static_cast<int>(state.range(0));
-    legacy::Solver solver(n, n);
-    const GridF rho = bench_density_grid(n);
-    for (auto _ : state) {
-        auto sol = solver.solve(rho);
-        benchmark::DoNotOptimize(sol.potential.data());
-    }
-}
-BENCHMARK(BM_PoissonSolveLegacy)
     ->Arg(64)
     ->Arg(128)
     ->Arg(256)
@@ -553,7 +366,6 @@ void BM_RoutabilityLoopRouteIncremental(benchmark::State& state) {
     const BinGrid grid(sc.d.region, 64, 64);
     const GlobalRouter router(grid, loop_router_config());
     IncrementalRouteState inc;
-    inc.rebuild_epoch = 0;  // measure steady-state cache reuse
     sc.apply(false);
     (void)router.route(sc.d, &inc);  // warm the cache outside the timing
     const IncrementalRouteStats warm = inc.stats;
@@ -679,176 +491,8 @@ BENCHMARK(BM_RouterRrrRoundThreads)
     ->Unit(benchmark::kMillisecond);
 
 // --- SIMD kernel benchmarks ----------------------------------------------
-// Single-thread speedup of the vectorized hot kernels (DESIGN.md §14)
-// against faithful copies of the pre-SIMD scalar code they replaced, in the
-// same binary on the same host. The baselines are source copies — NOT
-// ScalarVecD instantiations — so the comparison is honest even where the
-// compiler could auto-vectorize the 4-lane wrapper under -mavx2.
-// `run_benches.sh --json` records the BM_Simd* pairs in BENCH_simd.json.
-namespace presimd {
-
-/// Pre-SIMD WAWirelength::wa_1d, verbatim minus the class wrapper.
-double wa_1d(const double* xs, size_t n, double gamma, double* wp, double* wm,
-             double* grad) {
-    double xmax = xs[0], xmin = xs[0];
-    for (size_t i = 1; i < n; ++i) {
-        xmax = std::max(xmax, xs[i]);
-        xmin = std::min(xmin, xs[i]);
-    }
-    double sp = 0.0, ap = 0.0, sm = 0.0, am = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-        wp[i] = std::exp((xs[i] - xmax) / gamma);
-        wm[i] = std::exp((xmin - xs[i]) / gamma);
-        sp += wp[i];
-        ap += xs[i] * wp[i];
-        sm += wm[i];
-        am += xs[i] * wm[i];
-    }
-    const double fp = ap / sp;
-    const double fm = am / sm;
-    for (size_t j = 0; j < n; ++j) {
-        const double dp = (wp[j] / sp) * (1.0 + (xs[j] - fp) / gamma);
-        const double dm = (wm[j] / sm) * (1.0 - (xs[j] - fm) / gamma);
-        grad[j] = dp - dm;
-    }
-    return fp - fm;
-}
-
-/// Pre-SIMD BinGrid::splat_area: the for_each_overlap deposit loop.
-void splat_area(const BinGrid& grid, GridF& g, const Rect& r, double scale) {
-    grid.for_each_overlap(
-        r, [&](int ix, int iy, double a) { g.at(ix, iy) += a * scale; });
-}
-
-/// Pre-SIMD density gather: the for_each_overlap loop of electro_density.
-void gather(const BinGrid& grid, const GridF& pot, const GridF& fx,
-            const GridF& fy, const Rect& r, double scale, double& psi,
-            double& ex, double& ey) {
-    psi = ex = ey = 0.0;
-    grid.for_each_overlap(r, [&](int ix, int iy, double a) {
-        const double w = a * scale;
-        psi += w * pot.at(ix, iy);
-        ex += w * fx.at(ix, iy);
-        ey += w * fy.at(ix, iy);
-    });
-}
-
-/// Pre-SIMD FftPlan: same tables, scalar strided-twiddle butterfly loop.
-struct Fft {
-    int n;
-    std::vector<int> rev;
-    std::vector<Complex> tw;
-
-    explicit Fft(int n_) : n(n_), rev(static_cast<size_t>(n_)) {
-        for (int i = 1; i < n; ++i)
-            rev[static_cast<size_t>(i)] =
-                (rev[static_cast<size_t>(i >> 1)] >> 1) |
-                ((i & 1) ? n >> 1 : 0);
-        tw.resize(static_cast<size_t>(n / 2));
-        for (int k = 0; k < n / 2; ++k) {
-            const double ang = -2.0 * M_PI * k / n;
-            tw[static_cast<size_t>(k)] = {std::cos(ang), std::sin(ang)};
-        }
-    }
-
-    template <bool Inverse>
-    void transform(Complex* a) const {
-        if (n <= 1) return;
-        for (int i = 1; i < n; ++i) {
-            const int j = rev[static_cast<size_t>(i)];
-            if (i < j) std::swap(a[i], a[j]);
-        }
-        for (int i = 0; i < n; i += 2) {
-            const Complex u = a[i];
-            const Complex v = a[i + 1];
-            a[i] = u + v;
-            a[i + 1] = u - v;
-        }
-        for (int len = 4; len <= n; len <<= 1) {
-            const int half = len >> 1;
-            const int stride = n / len;
-            for (int i = 0; i < n; i += len) {
-                Complex* lo = a + i;
-                Complex* hi = a + i + half;
-                for (int j = 0; j < half; ++j) {
-                    const Complex& w = tw[static_cast<size_t>(j * stride)];
-                    const double wr = w.real();
-                    const double wi = Inverse ? -w.imag() : w.imag();
-                    const double hr = hi[j].real(), hi_ = hi[j].imag();
-                    const double vr = hr * wr - hi_ * wi;
-                    const double vi = hr * wi + hi_ * wr;
-                    const double ur = lo[j].real(), ui = lo[j].imag();
-                    lo[j] = {ur + vr, ui + vi};
-                    hi[j] = {ur - vr, ui - vi};
-                }
-            }
-        }
-        if (Inverse) {
-            const double inv = 1.0 / n;
-            for (int i = 0; i < n; ++i) a[i] *= inv;
-        }
-    }
-};
-
-/// Pre-SIMD DctWorkspace::dct2 on top of the scalar half-size FFT.
-struct Dct {
-    int n, m;
-    Fft fft;
-    std::vector<double> cs, sn;
-    std::vector<Complex> wr;
-    std::vector<Complex> buf;
-    std::vector<double> tmp;
-
-    explicit Dct(int n_)
-        : n(n_),
-          m(n_ / 2),
-          fft(n_ / 2),
-          cs(static_cast<size_t>(n_)),
-          sn(static_cast<size_t>(n_)),
-          wr(static_cast<size_t>(n_ / 2) + 1),
-          buf(static_cast<size_t>(n_ / 2)),
-          tmp(static_cast<size_t>(n_)) {
-        for (int k = 0; k < n; ++k) {
-            const double ang = M_PI * k / (2.0 * n);
-            cs[static_cast<size_t>(k)] = std::cos(ang);
-            sn[static_cast<size_t>(k)] = std::sin(ang);
-        }
-        for (int k = 0; k <= m; ++k) {
-            const double ang = -2.0 * M_PI * k / n;
-            wr[static_cast<size_t>(k)] = {std::cos(ang), std::sin(ang)};
-        }
-    }
-
-    void dct2(double* x) {
-        if (n == 1) return;
-        for (int i = 0; i < m; ++i) tmp[static_cast<size_t>(i)] = x[2 * i];
-        for (int i = 0; i < m; ++i)
-            tmp[static_cast<size_t>(n - 1 - i)] = x[2 * i + 1];
-        for (int k = 0; k < m; ++k)
-            buf[static_cast<size_t>(k)] = {tmp[static_cast<size_t>(2 * k)],
-                                           tmp[static_cast<size_t>(2 * k + 1)]};
-        fft.transform<false>(buf.data());
-        x[0] = buf[0].real() + buf[0].imag();
-        x[m] = (buf[0].real() - buf[0].imag()) * cs[static_cast<size_t>(m)];
-        for (int k = 1; k < m; ++k) {
-            const Complex z = buf[static_cast<size_t>(k)];
-            const Complex y = buf[static_cast<size_t>(m - k)];
-            const double er = 0.5 * (z.real() + y.real());
-            const double ei = 0.5 * (z.imag() - y.imag());
-            const double odr = 0.5 * (z.imag() + y.imag());
-            const double odi = -0.5 * (z.real() - y.real());
-            const Complex w = wr[static_cast<size_t>(k)];
-            const double vr = er + w.real() * odr - w.imag() * odi;
-            const double vi = ei + w.real() * odi + w.imag() * odr;
-            x[k] = vr * cs[static_cast<size_t>(k)] +
-                   vi * sn[static_cast<size_t>(k)];
-            x[n - k] = vr * cs[static_cast<size_t>(n - k)] -
-                       vi * sn[static_cast<size_t>(n - k)];
-        }
-    }
-};
-
-}  // namespace presimd
+// Single-thread cost of the vectorized hot kernels (DESIGN.md §14) on the
+// backend this binary was built for.
 
 /// A batch of WA "nets" with placement-realistic degree mix.
 struct WaBatch {
@@ -871,20 +515,6 @@ struct WaBatch {
         grad.resize(xs.size());
     }
 };
-
-void BM_SimdWaLegacy(benchmark::State& state) {
-    WaBatch b(static_cast<int>(state.range(0)));
-    for (auto _ : state) {
-        double total = 0.0;
-        for (size_t i = 0; i + 1 < b.offsets.size(); ++i) {
-            const size_t o = b.offsets[i], n = b.offsets[i + 1] - o;
-            total += presimd::wa_1d(b.xs.data() + o, n, 8.0, b.wp.data() + o,
-                                    b.wm.data() + o, b.grad.data() + o);
-        }
-        benchmark::DoNotOptimize(total);
-    }
-}
-BENCHMARK(BM_SimdWaLegacy)->Arg(2048);
 
 void BM_SimdWa(benchmark::State& state) {
     WaBatch b(static_cast<int>(state.range(0)));
@@ -923,17 +553,6 @@ struct SplatBatch {
     }
 };
 
-void BM_SimdScatterLegacy(benchmark::State& state) {
-    SplatBatch b(static_cast<int>(state.range(0)));
-    GridF g = b.grid.make_grid();
-    for (auto _ : state) {
-        for (size_t i = 0; i < b.rects.size(); ++i)
-            presimd::splat_area(b.grid, g, b.rects[i], b.scales[i]);
-        benchmark::DoNotOptimize(g.data());
-    }
-}
-BENCHMARK(BM_SimdScatterLegacy)->Arg(4096);
-
 void BM_SimdScatter(benchmark::State& state) {
     SplatBatch b(static_cast<int>(state.range(0)));
     GridF g = b.grid.make_grid();
@@ -944,27 +563,6 @@ void BM_SimdScatter(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_SimdScatter)->Arg(4096);
-
-void BM_SimdGatherLegacy(benchmark::State& state) {
-    SplatBatch b(static_cast<int>(state.range(0)));
-    Rng rng(79);
-    GridF pot = b.grid.make_grid(), fx = b.grid.make_grid(),
-          fy = b.grid.make_grid();
-    for (auto& v : pot.raw()) v = rng.uniform(-1.0, 1.0);
-    for (auto& v : fx.raw()) v = rng.uniform(-1.0, 1.0);
-    for (auto& v : fy.raw()) v = rng.uniform(-1.0, 1.0);
-    for (auto _ : state) {
-        double acc = 0.0;
-        for (size_t i = 0; i < b.rects.size(); ++i) {
-            double psi, ex, ey;
-            presimd::gather(b.grid, pot, fx, fy, b.rects[i], b.scales[i], psi,
-                            ex, ey);
-            acc += psi + ex + ey;
-        }
-        benchmark::DoNotOptimize(acc);
-    }
-}
-BENCHMARK(BM_SimdGatherLegacy)->Arg(4096);
 
 void BM_SimdGather(benchmark::State& state) {
     SplatBatch b(static_cast<int>(state.range(0)));
@@ -986,21 +584,6 @@ void BM_SimdGather(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdGather)->Arg(4096);
 
-void BM_SimdFftLegacy(benchmark::State& state) {
-    const int n = static_cast<int>(state.range(0));
-    const presimd::Fft plan(n);
-    Rng rng(80);
-    std::vector<Complex> a(static_cast<size_t>(n));
-    for (auto& v : a) v = {rng.uniform(), rng.uniform()};
-    std::vector<Complex> work(a.size());
-    for (auto _ : state) {
-        work = a;
-        plan.transform<false>(work.data());
-        benchmark::DoNotOptimize(work.data());
-    }
-}
-BENCHMARK(BM_SimdFftLegacy)->Arg(1024);
-
 void BM_SimdFft(benchmark::State& state) {
     const int n = static_cast<int>(state.range(0));
     const FftPlan& plan = fft_plan(n);
@@ -1015,21 +598,6 @@ void BM_SimdFft(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_SimdFft)->Arg(1024);
-
-void BM_SimdDctLegacy(benchmark::State& state) {
-    const int n = static_cast<int>(state.range(0));
-    presimd::Dct ws(n);
-    Rng rng(81);
-    std::vector<double> x(static_cast<size_t>(n));
-    for (auto& v : x) v = rng.uniform();
-    std::vector<double> work(x.size());
-    for (auto _ : state) {
-        work = x;
-        ws.dct2(work.data());
-        benchmark::DoNotOptimize(work.data());
-    }
-}
-BENCHMARK(BM_SimdDctLegacy)->Arg(1024);
 
 void BM_SimdDct(benchmark::State& state) {
     const int n = static_cast<int>(state.range(0));
@@ -1046,8 +614,8 @@ void BM_SimdDct(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdDct)->Arg(1024);
 
-/// RUDY per-bin accumulation: the same net boxes/densities deposited with
-/// the pre-SIMD overlap loop vs the vectorized row kernel.
+/// RUDY per-bin accumulation: net boxes/densities deposited with the
+/// vectorized row kernel.
 struct RudyBatch {
     Design d;
     BinGrid grid;
@@ -1073,17 +641,6 @@ struct RudyBatch {
     }
 };
 
-void BM_SimdRudyLegacy(benchmark::State& state) {
-    RudyBatch b(static_cast<int>(state.range(0)));
-    GridF g = b.grid.make_grid();
-    for (auto _ : state) {
-        for (size_t i = 0; i < b.bbs.size(); ++i)
-            presimd::splat_area(b.grid, g, b.bbs[i], b.dens[i]);
-        benchmark::DoNotOptimize(g.data());
-    }
-}
-BENCHMARK(BM_SimdRudyLegacy)->Arg(4000);
-
 void BM_SimdRudy(benchmark::State& state) {
     RudyBatch b(static_cast<int>(state.range(0)));
     GridF g = b.grid.make_grid();
@@ -1098,8 +655,8 @@ BENCHMARK(BM_SimdRudy)->Arg(4000);
 }  // namespace
 
 int main(int argc, char** argv) {
-    // Records which backend produced BENCH_simd.json ("avx2" / "neon" /
-    // "scalar") in the benchmark context block.
+    // Records which SIMD backend ("avx2" / "neon" / "scalar") produced the
+    // numbers in the benchmark context block.
     benchmark::AddCustomContext("rdp_simd", rdp::simd::backend_name());
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -14,13 +14,21 @@
 // --checkpoint-dir enables the durable checkpoint journal (DESIGN.md §16)
 // and --resume continues a killed run from it; the resumed run finishes
 // bitwise identical to the uninterrupted one. The RDP_CHECKPOINT_DIR /
-// RDP_CHECKPOINT_EVERY / RDP_RESUME environment knobs override the flags.
+// RDP_CHECKPOINT_EVERY / RDP_RESUME environment knobs override the flags;
+// GlobalPlacer::place() reads them once, when it starts.
+//
+// A malformed or out-of-range numeric flag value prints the usage line and
+// exits with status 2 before anything is read or written.
 //
 // With no arguments, generates a demo design, saves it to
 // /tmp/rdplace_demo.txt, and runs on that file.
 
+#include <algorithm>
+#include <climits>
 #include <cstring>
 #include <iostream>
+#include <iterator>
+#include <optional>
 #include <string>
 
 #include "benchgen/generator.hpp"
@@ -29,6 +37,27 @@
 #include "eval/route_metrics.hpp"
 #include "fft/fft.hpp"
 #include "place/global_placer.hpp"
+#include "util/env.hpp"
+
+namespace {
+
+constexpr const char* kUsage =
+    "usage: place_file <input> [output] [--mode=wl|route|ours] [--bins=N]\n"
+    "       [--seed=N] [--no-mci] [--no-dc] [--no-dpa] [--multi-pin-moving]\n"
+    "       [--budget-ms=N] [--no-recover] [--checkpoint-dir=PATH]\n"
+    "       [--checkpoint-every=N] [--resume[=auto|PATH]] [--wl-iters=N]\n"
+    "       [--route-iters=N] [--inner-iters=N] [--no-eval]\n";
+
+/// Value of `--name=<integer>` when `arg` is that flag and the integer lies
+/// in [lo, hi]; nullopt for a malformed or out-of-range value.
+std::optional<long long> int_value(const std::string& arg, long long lo,
+                                   long long hi) {
+    const auto v = rdp::env::parse_int(arg.substr(arg.find('=') + 1));
+    if (!v || *v < lo || *v > hi) return std::nullopt;
+    return v;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
     using namespace rdp;
@@ -40,9 +69,33 @@ int main(int argc, char** argv) {
     int bins = 0;
     bool run_eval = true;
 
+    // Integer flags: prefix, accepted range, destination.
+    struct IntFlag {
+        const char* prefix;
+        long long lo, hi;
+        int* out;
+    };
+    const IntFlag int_flags[] = {
+        {"--bins=", 0, 4096, &bins},
+        {"--checkpoint-every=", 1, 1 << 20, &cfg.durable.every},
+        {"--wl-iters=", 0, 1 << 20, &cfg.max_wl_iters},
+        {"--route-iters=", 0, 1 << 20, &cfg.max_route_iters},
+        {"--inner-iters=", 0, 1 << 20, &cfg.inner_iters},
+    };
+    const auto bad_value = [](const std::string& arg) {
+        std::cerr << "bad value in " << arg << "\n" << kUsage;
+        return 2;
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg.rfind("--mode=", 0) == 0) {
+        const IntFlag* f = std::find_if(
+            std::begin(int_flags), std::end(int_flags),
+            [&](const IntFlag& flag) { return arg.rfind(flag.prefix, 0) == 0; });
+        if (f != std::end(int_flags)) {
+            const auto v = int_value(arg, f->lo, f->hi);
+            if (!v) return bad_value(arg);
+            *f->out = static_cast<int>(*v);
+        } else if (arg.rfind("--mode=", 0) == 0) {
             const std::string m = arg.substr(7);
             if (m == "wl") cfg.mode = PlacerMode::WirelengthOnly;
             else if (m == "route") cfg.mode = PlacerMode::RouteBaseline;
@@ -51,10 +104,10 @@ int main(int argc, char** argv) {
                 std::cerr << "unknown mode " << m << "\n";
                 return 2;
             }
-        } else if (arg.rfind("--bins=", 0) == 0) {
-            bins = std::stoi(arg.substr(7));
         } else if (arg.rfind("--seed=", 0) == 0) {
-            cfg.seed = std::stoull(arg.substr(7));
+            const auto v = int_value(arg, 0, LLONG_MAX);
+            if (!v) return bad_value(arg);
+            cfg.seed = static_cast<uint64_t>(*v);
         } else if (arg == "--no-mci") {
             cfg.enable_mci = false;
         } else if (arg == "--no-dc") {
@@ -64,21 +117,15 @@ int main(int argc, char** argv) {
         } else if (arg == "--multi-pin-moving") {
             cfg.netmove.move_multi_pin_edges = true;  // paper extension
         } else if (arg.rfind("--budget-ms=", 0) == 0) {
-            cfg.recover.stage_budget_ms = std::stod(arg.substr(12));
+            const auto v = env::parse_double(arg.substr(12));
+            if (!v || *v < 0.0) return bad_value(arg);
+            cfg.recover.stage_budget_ms = *v;
         } else if (arg == "--no-recover") {
             cfg.recover.enabled = false;
         } else if (arg.rfind("--checkpoint-dir=", 0) == 0) {
             cfg.durable.dir = arg.substr(17);
-        } else if (arg.rfind("--checkpoint-every=", 0) == 0) {
-            cfg.durable.every = std::stoi(arg.substr(19));
         } else if (arg == "--resume" || arg.rfind("--resume=", 0) == 0) {
             cfg.durable.resume = arg.size() > 9 ? arg.substr(9) : "auto";
-        } else if (arg.rfind("--wl-iters=", 0) == 0) {
-            cfg.max_wl_iters = std::stoi(arg.substr(11));
-        } else if (arg.rfind("--route-iters=", 0) == 0) {
-            cfg.max_route_iters = std::stoi(arg.substr(14));
-        } else if (arg.rfind("--inner-iters=", 0) == 0) {
-            cfg.inner_iters = std::stoi(arg.substr(14));
         } else if (arg == "--no-eval") {
             run_eval = false;
         } else if (input_path.empty()) {

@@ -11,12 +11,15 @@
 #   5. scalar build      RDP_SIMD=scalar build + full ctest suite (the
 #                        portable fallback backend must pass everything the
 #                        native-SIMD build passes, bit for bit)
-#   6. sanitizer matrix  address, undefined, address;undefined -> ctest -L sanitize
+#   6. release build     CMAKE_BUILD_TYPE=Release (-O3) + ctest -L simd,
+#                        -L golden and -L parallel: the determinism contract
+#                        must survive GCC's -O3 vectorizer too
+#   7. sanitizer matrix  address, undefined, address;undefined -> ctest -L sanitize
 #                        thread                                -> ctest -L parallel
 #                        plus explicit ASan+UBSan passes: ctest -L recover
-#                        (fault injection), RDP_INCREMENTAL=1 ctest -L
-#                        router (persistent route/RUDY caches forced on),
-#                        ctest -L poisson (spectral kernels), ctest -L
+#                        (fault injection), ctest -L router (persistent
+#                        route/RUDY caches), ctest -L poisson (spectral
+#                        kernels), ctest -L
 #                        simd (vector backends / stable_exp / kernel
 #                        equivalence), and ctest -L persist (durable
 #                        checkpoint format + crash/resume kill-point
@@ -171,7 +174,26 @@ else
     record_failure "scalar-backend build"
 fi
 
-# ---- 6. sanitizer matrix --------------------------------------------------
+# ---- 6. -O3 release build: simd, golden and parallel labels ---------------
+# The default build is RelWithDebInfo (-O2). At -O3 GCC's vectorizer
+# rewrites more loops (DESIGN.md §14); the cross-backend, golden-digest and
+# thread-count contracts must hold there as well.
+note "release build (CMAKE_BUILD_TYPE=Release) + ctest -L simd/golden/parallel"
+if cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null &&
+   cmake --build build-release -j "$JOBS"; then
+    for label in simd golden parallel; do
+        if require_label build-release "$label"; then
+            if ! ctest --test-dir build-release -L "$label" \
+                       --output-on-failure -j "$JOBS"; then
+                record_failure "release build ctest -L $label"
+            fi
+        fi
+    done
+else
+    record_failure "release build"
+fi
+
+# ---- 7. sanitizer matrix --------------------------------------------------
 if [[ "$FAST" == 0 ]]; then
     sanitize_config() {
         local preset="$1" label="$2"
@@ -206,11 +228,11 @@ if [[ "$FAST" == 0 ]]; then
     fi
 
     # Incremental routing under ASan+UBSan: the persistent route/RUDY
-    # caches (rip-up/commit deltas, dirty-bin recompute, rebuild epochs)
-    # must be memory- and UB-clean with the cache path forced on.
-    note "incremental routing under ASan+UBSan (RDP_INCREMENTAL=1 ctest -L router)"
+    # caches (rip-up/commit deltas, dirty-bin recompute) must be memory-
+    # and UB-clean.
+    note "incremental routing under ASan+UBSan (ctest -L router)"
     if require_label build-san-address-undefined router; then
-        if ! RDP_INCREMENTAL=1 ctest --test-dir build-san-address-undefined \
+        if ! ctest --test-dir build-san-address-undefined \
                    -L router --output-on-failure -j "$JOBS"; then
             record_failure "incremental routing (asan+ubsan)"
         fi

@@ -96,15 +96,4 @@ const FftPlan& fft_plan(int n) {
     return *cache.plans[slot];
 }
 
-void fft(std::vector<Complex>& a, bool inverse) {
-    const int n = static_cast<int>(a.size());
-    assert(is_pow2(n));
-    if (n <= 1) return;
-    const FftPlan& plan = fft_plan(n);
-    if (inverse)
-        plan.inverse(a.data());
-    else
-        plan.forward(a.data());
-}
-
 }  // namespace rdp

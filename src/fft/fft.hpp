@@ -71,9 +71,4 @@ private:
 /// lifetime.
 const FftPlan& fft_plan(int n);
 
-/// In-place FFT of a power-of-two-sized buffer via the cached plan.
-/// Forward: X[k] = sum_n x[n] e^{-2πikn/N}.
-/// Inverse: includes the 1/N normalization, so ifft(fft(x)) == x.
-void fft(std::vector<Complex>& a, bool inverse);
-
 }  // namespace rdp

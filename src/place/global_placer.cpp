@@ -19,6 +19,7 @@
 #include "recover/durable_checkpoint.hpp"
 #include "recover/kill_points.hpp"
 #include "recover/stage_guard.hpp"
+#include "util/env.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
@@ -54,6 +55,24 @@ uint64_t durable_fingerprint(const Design& d, const PlacerConfig& cfg) {
        << "|seed=" << cfg.seed;
     const std::string text = ss.str();
     return recover::fnv1a64(text.data(), text.size());
+}
+
+/// The one place a run's configuration is resolved: the environment
+/// overrides of the recovery and durable layers are applied here, once per
+/// place() call, and every stage reads only the returned config. A
+/// malformed value warns once and keeps the configured one (util/env.hpp).
+PlacerConfig resolve_run_config(PlacerConfig cfg) {
+    cfg.recover.enabled =
+        cfg.recover.enabled && env::flag_or("RDP_RECOVER", true);
+    cfg.recover.stage_budget_ms = env::double_or(
+        "RDP_STAGE_BUDGET_MS", cfg.recover.stage_budget_ms, 0.0, 1e12);
+    if (const auto dir = env::raw("RDP_CHECKPOINT_DIR"); dir && !dir->empty())
+        cfg.durable.dir = *dir;
+    cfg.durable.every = static_cast<int>(
+        env::int_or("RDP_CHECKPOINT_EVERY", cfg.durable.every, 1, 1 << 20));
+    if (const auto res = env::raw("RDP_RESUME"); res && !res->empty())
+        cfg.durable.resume = *res;
+    return cfg;
 }
 
 constexpr const char* kWirelengthStage = "wirelength-gp";
@@ -260,6 +279,7 @@ PlaceResult GlobalPlacer::place(const Design& input) const {
     const auto t0 = std::chrono::steady_clock::now();
     RDP_LOG_INFO() << "simd backend: " << simd::backend_name()
                    << (simd::fma_enabled() ? " (fma)" : "");
+    const PlacerConfig cfg = resolve_run_config(cfg_);
     PlaceResult res;
 
     Design d = input;
@@ -269,12 +289,10 @@ PlaceResult GlobalPlacer::place(const Design& input) const {
     // computed on the pre-placement design (movable input positions are
     // overwritten below either way), so the same input file and config
     // always fingerprint identically.
-    const recover::DurableOptions dopts =
-        recover::resolve_durable_options(cfg_.durable);
     uint64_t fingerprint = 0;
-    if (!dopts.dir.empty() || !dopts.resume.empty())
-        fingerprint = durable_fingerprint(d, cfg_);
-    recover::DurableCheckpointer durable(dopts, fingerprint);
+    if (!cfg.durable.dir.empty() || !cfg.durable.resume.empty())
+        fingerprint = durable_fingerprint(d, cfg);
+    recover::DurableCheckpointer durable(cfg.durable, fingerprint);
     const std::optional<recover::PipelineSnapshot> resume =
         durable.load_resume();
     const bool resume_stage2 =
@@ -284,7 +302,7 @@ PlaceResult GlobalPlacer::place(const Design& input) const {
     // (or the region center), with a small deterministic spread.
     {
         Vec2 centroid = d.region.center();
-        Rng rng(cfg_.seed);
+        Rng rng(cfg.seed);
         const double sx = d.region.width() * 0.08;
         const double sy = d.region.height() * 0.08;
         for (Cell& c : d.cells) {
@@ -295,14 +313,14 @@ PlaceResult GlobalPlacer::place(const Design& input) const {
         d.clamp_movables_to_region();
     }
 
-    const int first_filler = add_fillers(d, cfg_, cfg_.seed);
+    const int first_filler = add_fillers(d, cfg, cfg.seed);
     std::vector<int> movable = d.movable_cells();
 
     // Shared grid for density, G-cells, and congestion (paper II-B).
-    const int bins = next_pow2(cfg_.grid_bins);
+    const int bins = next_pow2(cfg.grid_bins);
     const BinGrid grid(d.region, bins, bins);
-    PlacementObjective obj(grid, cfg_.density, cfg_.netmove,
-                           cfg_.gamma_frac *
+    PlacementObjective obj(grid, cfg.density, cfg.netmove,
+                           cfg.gamma_frac *
                                std::max(grid.bin_w(), grid.bin_h()));
 
     // ---- Stage 1: wirelength-driven GP ------------------------------------
@@ -310,15 +328,15 @@ PlaceResult GlobalPlacer::place(const Design& input) const {
     // everything it would compute is superseded by the snapshot state.
     if (!resume_stage2) {
         const AuditStageScope audit_scope(kWirelengthStage);
-        WirelengthStage(d, movable, obj, cfg_, durable, res)
+        WirelengthStage(d, movable, obj, cfg, durable, res)
             .run(resume ? &*resume : nullptr);
     }
 
     // ---- Stage 2: routability-driven GP ------------------------------------
-    if (cfg_.mode != PlacerMode::WirelengthOnly) {
+    if (cfg.mode != PlacerMode::WirelengthOnly) {
         // PG rail selection from macro positions (Fig. 2 pre-process).
-        const std::vector<PGRail> rails = select_pg_rails(d, cfg_.rail_select);
-        recover::StageGuard sguard("routability-gp", cfg_.recover,
+        const std::vector<PGRail> rails = select_pg_rails(d, cfg.rail_select);
+        recover::StageGuard sguard("routability-gp", cfg.recover,
                                    &res.recovery);
         // The stage handles in-loop failures itself; anything escaping
         // (entry/exit audits) skips the optional stage: the stage-1
@@ -332,7 +350,7 @@ PlaceResult GlobalPlacer::place(const Design& input) const {
         };
         try {
             const RoutabilityStats rs = run_routability_stage(
-                d, movable, obj, cfg_, rails, first_filler, &durable,
+                d, movable, obj, cfg, rails, first_filler, &durable,
                 resume_stage2 ? &*resume : nullptr);
             res.route_outer_iters = rs.outer_iters;
             res.congestion_history = rs.total_overflow;
@@ -364,14 +382,14 @@ PlaceResult GlobalPlacer::place(const Design& input) const {
 
     {
         const AuditStageScope audit_scope("legalize");
-        recover::StageGuard sguard("legalize", cfg_.recover, &res.recovery);
+        recover::StageGuard sguard("legalize", cfg.recover, &res.recovery);
         try {
-            res.legal_stats = tetris_legalize(d, cfg_.tetris);
+            res.legal_stats = tetris_legalize(d, cfg.tetris);
             abacus_refine(d, desired);
-            res.dp_stats = detailed_place(d, cfg_.dp);
-            if (cfg_.enable_pin_access_dp) {
+            res.dp_stats = detailed_place(d, cfg.dp);
+            if (cfg.enable_pin_access_dp) {
                 const std::vector<PGRail> rails =
-                    select_pg_rails(d, cfg_.rail_select);
+                    select_pg_rails(d, cfg.rail_select);
                 pin_access_refine(d, rails);
             }
             // Invariant audit: the legalization pipeline must leave every

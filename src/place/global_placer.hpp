@@ -115,9 +115,9 @@ struct PlacerConfig {
 
     /// Durable checkpoint/resume layer (DESIGN.md §16): journal directory,
     /// stage-1 save cadence, and resume request. RDP_CHECKPOINT_DIR /
-    /// RDP_CHECKPOINT_EVERY / RDP_RESUME override these; the layer stays
-    /// off while the directory is empty, and a resumed run finishes
-    /// bitwise identical to the uninterrupted one.
+    /// RDP_CHECKPOINT_EVERY / RDP_RESUME override these at place() entry;
+    /// the layer stays off while the directory is empty, and a resumed run
+    /// finishes bitwise identical to the uninterrupted one.
     recover::DurableOptions durable;
 
     uint64_t seed = 1;
@@ -152,6 +152,10 @@ public:
 
     /// Place a design. The input is copied; the result contains the final
     /// legalized design with the original cell count (fillers stripped).
+    /// The run's configuration is resolved once, on entry: the
+    /// RDP_RECOVER, RDP_STAGE_BUDGET_MS, RDP_CHECKPOINT_DIR,
+    /// RDP_CHECKPOINT_EVERY and RDP_RESUME environment variables are read
+    /// then and override `config()` for this call only.
     PlaceResult place(const Design& input) const;
 
     /// Append filler cells to a working copy (exposed for tests).

@@ -15,7 +15,6 @@
 #include "recover/fault_injection.hpp"
 #include "recover/kill_points.hpp"
 #include "recover/stage_guard.hpp"
-#include "util/env.hpp"
 #include "util/log.hpp"
 
 namespace rdp {
@@ -116,19 +115,9 @@ public:
           guard_(kStage, cfg.recover, &stats.recovery),
           checks_(d, movable, cfg.recover, guard_.active(), kStage,
                   "inner iteration"),
-          // Incremental congestion estimation (RDP_INCREMENTAL, default
-          // on): persistent router / RUDY caches threaded through every
-          // estimation of this stage. Pure performance: bitwise identical
-          // to from-scratch estimation. RDP_REBUILD_EPOCH bounds cache
-          // lifetime with a deterministic periodic full rebuild (0
-          // disables the epoch; see DESIGN.md §12).
-          incremental_(env::flag_or("RDP_INCREMENTAL", true)),
           field_(grid_),
           scheme_(make_inflation_scheme(cfg, d.num_cells())),
-          rail_area_(rail_area_per_bin(rails, grid_)) {
-        inc_route_.rebuild_epoch = static_cast<int>(
-            env::int_or("RDP_REBUILD_EPOCH", 16, 0, 1 << 20));
-    }
+          rail_area_(rail_area_per_bin(rails, grid_)) {}
 
     /// Run the stage from its entry state, or from `resume` (stage 2).
     void run(const recover::PipelineSnapshot* resume);
@@ -168,7 +157,9 @@ private:
     const BinGrid& grid_;
     recover::StageGuard guard_;
     recover::DivergenceChecks checks_;
-    const bool incremental_;
+    /// Incremental congestion estimation (DESIGN.md §12): persistent
+    /// router / RUDY caches threaded through every estimation of this
+    /// stage, bitwise identical to from-scratch estimation.
     IncrementalRouteState inc_route_;
     IncrementalRudyState inc_rudy_;
     std::unique_ptr<GlobalRouter> router_;
@@ -292,11 +283,9 @@ bool RoutabilityStage::iterate() {
         st_.use_ckpt_cmap = false;
         cmap_ = CongestionMap(grid_, st_.cmap_demand, st_.cmap_capacity);
     } else if (cfg_.use_rudy_congestion) {
-        cmap_ = rudy_congestion(d_, grid_, cfg_.router, {},
-                                incremental_ ? &inc_rudy_ : nullptr);
+        cmap_ = rudy_congestion(d_, grid_, cfg_.router, {}, &inc_rudy_);
     } else {
-        const RouteResult rr =
-            router_->route(d_, incremental_ ? &inc_route_ : nullptr);
+        const RouteResult rr = router_->route(d_, &inc_route_);
         cmap_ = rr.congestion;
         rrr_executed = rr.rrr_rounds_executed;
         rrr_stalled = rr.rrr_rounds_stalled;
@@ -307,7 +296,7 @@ bool RoutabilityStage::iterate() {
         // after a successful route. The next route() call's
         // incremental-route auditor must trip on the stale cache and
         // recovery must invalidate it.
-        if (guard_.active() && incremental_ &&
+        if (guard_.active() &&
             recover::fault::fire("global-route",
                                  recover::FaultKind::CorruptedDemand,
                                  outer) &&
@@ -620,11 +609,9 @@ void RoutabilityStage::finish() {
     // consumers never see a mixed state.
     const double severe =
         cfg_.use_rudy_congestion
-            ? rudy_congestion(d_, grid_, cfg_.router, {},
-                              incremental_ ? &inc_rudy_ : nullptr)
+            ? rudy_congestion(d_, grid_, cfg_.router, {}, &inc_rudy_)
                   .weighted_overflow()
-            : router_->route(d_, incremental_ ? &inc_route_ : nullptr)
-                  .congestion.weighted_overflow();
+            : router_->route(d_, &inc_route_).congestion.weighted_overflow();
     if (severe < st_.best.overflow * (1.0 - cfg_.keep_best_margin))
         keep_best(severe, stats_.outer_iters);
     const recover::PipelineSnapshot::Best& best = st_.best;

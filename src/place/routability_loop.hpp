@@ -29,8 +29,7 @@ struct RoutabilityStats {
     /// PlaceResult::recovery by GlobalPlacer).
     recover::RecoveryReport recovery;
     /// Incremental-routing reconciliation totals over the stage's router
-    /// invocations (reporting only; see RouteResult::inc_*). With
-    /// RDP_INCREMENTAL=0 rerouted == total.
+    /// invocations (reporting only; see RouteResult::inc_*).
     long long route_conns_total = 0;
     long long route_conns_rerouted = 0;
 };

@@ -6,7 +6,6 @@
 #include <iostream>
 
 #include "recover/kill_points.hpp"
-#include "util/env.hpp"
 #include "util/io_atomic.hpp"
 
 namespace rdp::recover {
@@ -278,16 +277,6 @@ uint64_t fnv1a64(const void* data, size_t n, uint64_t seed) {
         h *= kPrime;
     }
     return h;
-}
-
-DurableOptions resolve_durable_options(DurableOptions base) {
-    if (const auto dir = env::raw("RDP_CHECKPOINT_DIR"); dir && !dir->empty())
-        base.dir = *dir;
-    base.every = static_cast<int>(
-        env::int_or("RDP_CHECKPOINT_EVERY", base.every, 1, 1 << 20));
-    if (const auto res = env::raw("RDP_RESUME"); res && !res->empty())
-        base.resume = *res;
-    return base;
 }
 
 std::vector<uint8_t> serialize_snapshot(const PipelineSnapshot& snap,

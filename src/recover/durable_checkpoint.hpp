@@ -119,11 +119,6 @@ struct DurableOptions {
     std::string resume;  ///< "", "auto", or a snapshot path (RDP_RESUME)
 };
 
-/// Overlay the RDP_CHECKPOINT_DIR / RDP_CHECKPOINT_EVERY / RDP_RESUME
-/// environment knobs onto `base` (env wins, matching the other RDP_*
-/// knobs so a wrapper script can retrofit checkpointing onto any run).
-DurableOptions resolve_durable_options(DurableOptions base);
-
 /// Serialize/deserialize one snapshot. Exposed (rather than private to
 /// DurableCheckpointer) so the corruption tests can flip bytes in every
 /// section and assert each one is detected. deserialize_snapshot never

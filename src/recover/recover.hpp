@@ -70,7 +70,7 @@ FaultKind classify_audit_failure(const AuditFailure& failure);
 /// detector trips and the recovery layer is invisible.
 struct RecoverConfig {
     /// Master switch. The environment variable RDP_RECOVER=0 forces the
-    /// layer off regardless (resolved by StageGuard).
+    /// layer off regardless (read once at GlobalPlacer::place() entry).
     bool enabled = true;
     /// Recovery attempts per guarded stage before it degrades to its best
     /// snapshot.
@@ -91,7 +91,8 @@ struct RecoverConfig {
     /// overflow beyond this absolute floor.
     double router_livelock_overflow = 1e6;
     /// Per-stage wall-clock budget in milliseconds; 0 = unlimited. The
-    /// environment variable RDP_STAGE_BUDGET_MS overrides when set.
+    /// environment variable RDP_STAGE_BUDGET_MS overrides when set (read
+    /// once at GlobalPlacer::place() entry).
     double stage_budget_ms = 0.0;
     /// Nesterov step scale applied per rollback ("halve the step").
     double step_shrink = 0.5;

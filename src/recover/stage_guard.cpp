@@ -1,56 +1,43 @@
 #include "recover/stage_guard.hpp"
 
 #include "recover/fault_injection.hpp"
-#include "util/env.hpp"
 #include "util/log.hpp"
 
 namespace rdp::recover {
-
-namespace {
-
-/// RDP_RECOVER=0 force-disables the layer process-wide (mirrors RDP_AUDIT).
-bool recover_env_enabled() {
-    static const bool enabled = env::flag_or("RDP_RECOVER", true);
-    return enabled;
-}
-
-}  // namespace
 
 StageGuard::StageGuard(const char* stage, const RecoverConfig& cfg,
                        RecoveryReport* report)
     : stage_(stage),
       cfg_(cfg),
       report_(report),
-      active_(cfg.enabled && recover_env_enabled()),
-      budget_ms_(env::double_or("RDP_STAGE_BUDGET_MS", cfg.stage_budget_ms,
-                                0.0, 1e12)),
       start_(std::chrono::steady_clock::now()) {}
 
 bool StageGuard::over_budget(int iter) {
-    if (!active_ || timed_out_) return timed_out_;
+    if (!active() || timed_out_) return timed_out_;
     const bool forced =
         fault::fire(stage_, FaultKind::StageTimeout, iter);
     bool expired = forced;
-    if (!expired && budget_ms_ > 0.0) {
+    if (!expired && cfg_.stage_budget_ms > 0.0) {
         const double elapsed_ms =
             std::chrono::duration<double, std::milli>(
                 std::chrono::steady_clock::now() - start_)
                 .count();
-        expired = elapsed_ms > budget_ms_;
+        expired = elapsed_ms > cfg_.stage_budget_ms;
     }
     if (expired) {
         timed_out_ = true;
         degrade(FaultKind::StageTimeout, iter,
                 forced ? "injected stage timeout"
                        : "wall-clock budget of " +
-                             std::to_string(budget_ms_) + " ms exhausted");
+                             std::to_string(cfg_.stage_budget_ms) +
+                             " ms exhausted");
     }
     return expired;
 }
 
 bool StageGuard::allow_retry(FaultKind kind, int iter,
                              const std::string& detail) {
-    if (!active_) return false;
+    if (!active()) return false;
     if (retries_ >= cfg_.max_retries) return false;
     ++retries_;
     record(kind, iter, "retry", detail);

@@ -3,9 +3,9 @@
 // (DESIGN.md §11). One guard wraps one pipeline stage (wirelength GP,
 // routability GP, legalization) and owns:
 //
-//   * the stage wall-clock budget (RecoverConfig::stage_budget_ms,
-//     overridden by RDP_STAGE_BUDGET_MS): over_budget() turns a livelocked
-//     stage into a graceful stop on its best snapshot instead of a hang;
+//   * the stage wall-clock budget (RecoverConfig::stage_budget_ms):
+//     over_budget() turns a livelocked stage into a graceful stop on its
+//     best snapshot instead of a hang;
 //   * the bounded retry ledger: allow_retry() admits at most
 //     RecoverConfig::max_retries recovery attempts per stage, then the
 //     stage degrades;
@@ -13,7 +13,9 @@
 //     run's RecoveryReport.
 //
 // The guard never touches placement state itself — rollback and knob
-// adjustment stay in the stage code, next to the state they restore.
+// adjustment stay in the stage code, next to the state they restore. It
+// reads only its RecoverConfig: GlobalPlacer::place() has already applied
+// the RDP_RECOVER / RDP_STAGE_BUDGET_MS environment overrides to it.
 
 #include <chrono>
 #include <string>
@@ -29,10 +31,8 @@ public:
                RecoveryReport* report);
 
     const char* stage() const { return stage_; }
-    /// Recovery active = config enabled and not vetoed by RDP_RECOVER=0.
-    bool active() const { return active_; }
-    /// Resolved wall-clock budget in ms (0 = unlimited).
-    double budget_ms() const { return budget_ms_; }
+    /// Recovery active = RecoverConfig::enabled.
+    bool active() const { return cfg_.enabled; }
 
     /// True when the stage exhausted its wall-clock budget (or a
     /// stage-timeout fault fired for `iter`); records the event once.
@@ -57,8 +57,6 @@ private:
     const char* stage_;
     const RecoverConfig& cfg_;
     RecoveryReport* report_;
-    bool active_;
-    double budget_ms_;
     bool timed_out_ = false;
     int retries_ = 0;
     std::chrono::steady_clock::time_point start_;

@@ -531,18 +531,13 @@ RouteResult GlobalRouter::route_impl(const Design& d,
                    });
 
     // ---- Phase A: reconcile the cached baseline routes ------------------
-    // Cache identity and the deterministic rebuild epoch. The epoch fires
-    // as a function of the call count only, never of the placement
-    // trajectory, so rebuild timing is reproducible.
+    // Cache identity: a cache built for another netlist, grid or router
+    // cost model is rebuilt from scratch.
     ++S.stats.calls;
     const std::uint64_t ckey = router_config_key(grid_, cfg_);
     const std::uint64_t dkey = design_structure_key(d);
-    bool fresh = !S.valid || S.config_key != ckey || S.design_key != dkey ||
-                 S.nx != nx || S.ny != ny;
-    if (!fresh && S.rebuild_epoch > 0 &&
-        ++S.calls_since_rebuild >= S.rebuild_epoch)
-        fresh = true;
-    if (fresh) S.calls_since_rebuild = 0;
+    const bool fresh = !S.valid || S.config_key != ckey ||
+                       S.design_key != dkey || S.nx != nx || S.ny != ny;
 
     // Pin-bin signatures of this call (disjoint writes -> deterministic).
     const size_t num_pins = static_cast<size_t>(d.num_pins());

@@ -28,9 +28,6 @@ void RouterScratch::reset(int nx, int ny) {
     reset_grid(cost_v, nx, ny);
 }
 
-void IncrementalRouteState::invalidate() {
-    valid = false;
-    calls_since_rebuild = 0;
-}
+void IncrementalRouteState::invalidate() { valid = false; }
 
 }  // namespace rdp

@@ -16,12 +16,10 @@
 //      box touches a G-cell whose capacity changed (a "dirty" cell).
 // Unit demand increments on doubles are integer-valued and therefore
 // exact, so delta accounting is bitwise identical to a from-scratch
-// rebuild — route(d, &state) == route(d) bitwise, for any RDP_THREADS.
-//
-// A deterministic periodic full rebuild (`rebuild_epoch`, env knob
-// RDP_REBUILD_EPOCH) bounds drift: every Nth call with a valid cache
-// drops it and rebuilds from scratch, independent of the placement
-// trajectory, so results cannot depend on when a cache happened to fill.
+// rebuild — route(d, &state) == route(d) bitwise, for any RDP_THREADS —
+// and a warm cache never drifts from a cold one. While audits are on
+// (the default) the incremental-route auditor re-checks the maintained
+// demand against the cached routes on every call.
 
 #include <cstdint>
 #include <vector>
@@ -121,19 +119,13 @@ struct IncrementalRouteState {
     GridF cap_h, cap_v;
     GridF dem_h, dem_v, bend_vias;
 
-    /// Deterministic full-rebuild period: every rebuild_epoch-th call with
-    /// a valid cache rebuilds from scratch (<= 0 disables the epoch).
-    int rebuild_epoch = 16;
-    int calls_since_rebuild = 0;
-
     IncrementalRouteStats stats;
 
     /// Reusable per-call buffers (see RouterScratch).
     RouterScratch scratch;
 
     /// Drop the cached routes; the next route() call rebuilds from
-    /// scratch. Buffers keep their capacity; stats and the epoch knob
-    /// survive. The recovery layer calls this on every rollback so a
+    /// scratch. Buffers keep their capacity; stats survive. The recovery layer calls this on every rollback so a
     /// restored checkpoint can never be scored against stale routes.
     void invalidate();
 };

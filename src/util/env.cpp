@@ -26,9 +26,10 @@ std::string lowered(std::string s) {
 
 // Direct to stderr rather than RDP_LOG: env knobs are read inside static
 // initializers (log level itself among them), where the logger may not be
-// configured yet. One warning per variable per process: several knobs
-// (RDP_INCREMENTAL, RDP_CHECKPOINT_EVERY, ...) are re-read at every stage
-// entry or loop boundary, and a misspelled value must not flood the log.
+// configured yet. One warning per variable per process: the run knobs
+// (RDP_RECOVER, RDP_CHECKPOINT_EVERY, ...) are read at every
+// GlobalPlacer::place() call, and a misspelled value in a process that
+// places many designs must not flood the log.
 void warn(const char* name, const std::string& value,
           const std::string& expected) {
     static std::mutex mu;

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <numeric>
 
-#include "util/env.hpp"
 #include "util/parallel.hpp"
 
 namespace rdp {
@@ -39,16 +38,6 @@ void grid_copy_into(const GridF& src, GridF& dst) {
     std::copy(src.begin(), src.end(), dst.begin());
 }
 
-namespace {
-
-int transpose_block_size() {
-    static const int block =
-        static_cast<int>(env::int_or("RDP_TRANSPOSE_BLOCK", 32, 4, 4096));
-    return block;
-}
-
-}  // namespace
-
 void grid_transpose_into(const GridF& src, GridF& dst,
                          const double* dst_col_scale) {
     assert(&src != &dst);
@@ -57,7 +46,7 @@ void grid_transpose_into(const GridF& src, GridF& dst,
     if (dst.width() != h || dst.height() != w) dst.resize(h, w);
     if (w == 0 || h == 0) return;
 
-    const int block = transpose_block_size();
+    constexpr int block = 32;  // tile edge: a 32 x 32 tile fits in L1
     const int row_blocks = (w + block - 1) / block;
     // Each task owns a band of dst rows; inner tiles keep both the strided
     // src reads and the contiguous dst writes within cache-sized footprints.

@@ -189,7 +189,18 @@ struct ScalarVecD {
         odd = {{p[1], p[3], p[5], p[7]}};
     }
     /// Inverse of deinterleave2: writes p[2i] = even[i], p[2i+1] = odd[i].
+    ///
+    /// Both inputs pass an optimization barrier first. Interleaving puts a
+    /// lane of one vector next to the same lane of the other; when those
+    /// are a difference and a sum of products (the DCT's complex rotations),
+    /// GCC's SLP vectorizer at -O3 rewrites the pair into one vfmaddsub and
+    /// fuses the multiplies despite -ffp-contract=off. The vector backends
+    /// compute each input as a whole register and never see that shape, so
+    /// without the barrier the scalar reference drifts from them by an ulp.
     friend void interleave2(double* p, ScalarVecD even, ScalarVecD odd) {
+#if defined(__GNUC__)
+        __asm__("" : "+m"(even.l), "+m"(odd.l));
+#endif
         for (int i = 0; i < 4; ++i) {
             p[2 * i] = even.l[i];
             p[2 * i + 1] = odd.l[i];

@@ -31,7 +31,7 @@ TEST(FftTest, Pow2Helpers) {
 
 TEST(FftTest, KnownDft4) {
     std::vector<Complex> a = {1.0, 2.0, 3.0, 4.0};
-    fft(a, false);
+    fft_plan(4).forward(a.data());
     EXPECT_NEAR(a[0].real(), 10.0, 1e-12);
     EXPECT_NEAR(a[0].imag(), 0.0, 1e-12);
     EXPECT_NEAR(a[1].real(), -2.0, 1e-12);
@@ -45,7 +45,7 @@ TEST(FftTest, SingleToneBin) {
     const int n = 32;
     std::vector<Complex> a(n);
     for (int i = 0; i < n; ++i) a[i] = std::cos(2.0 * M_PI * 3 * i / n);
-    fft(a, false);
+    fft_plan(n).forward(a.data());
     for (int k = 0; k < n; ++k) {
         const double mag = std::abs(a[k]);
         if (k == 3 || k == n - 3)
@@ -103,8 +103,8 @@ TEST_P(FftRoundTrip, InverseRecoversInput) {
     const int n = GetParam();
     const auto x = random_signal(n, 1000 + n);
     std::vector<Complex> a(x.begin(), x.end());
-    fft(a, false);
-    fft(a, true);
+    fft_plan(n).forward(a.data());
+    fft_plan(n).inverse(a.data());
     for (int i = 0; i < n; ++i) {
         EXPECT_NEAR(a[i].real(), x[i], 1e-10);
         EXPECT_NEAR(a[i].imag(), 0.0, 1e-10);
@@ -115,7 +115,7 @@ TEST_P(FftRoundTrip, Parseval) {
     const int n = GetParam();
     const auto x = random_signal(n, 2000 + n);
     std::vector<Complex> a(x.begin(), x.end());
-    fft(a, /*inverse=*/false);
+    fft_plan(n).forward(a.data());
     double time_e = 0.0, freq_e = 0.0;
     for (double v : x) time_e += v * v;
     for (const Complex& c : a) freq_e += std::norm(c);

@@ -71,7 +71,6 @@ TEST(IncrementalRouteTest, MatchesFullRouteAcrossPerturbations) {
     const BinGrid grid(d.region, 32, 32);
     const GlobalRouter router(grid);
     IncrementalRouteState state;
-    state.rebuild_epoch = 0;  // exercise the cache on every call
 
     Rng rng(21);
     for (int step = 0; step < 6; ++step) {
@@ -94,7 +93,6 @@ TEST(IncrementalRouteTest, UnchangedPlacementReroutesNothing) {
     const BinGrid grid(d.region, 32, 32);
     const GlobalRouter router(grid);
     IncrementalRouteState state;
-    state.rebuild_epoch = 0;
 
     const RouteResult first = router.route(d, &state);
     EXPECT_TRUE(first.inc_full_rebuild);
@@ -113,7 +111,6 @@ TEST(IncrementalRouteTest, PositionRollbackStaysConsistent) {
     const BinGrid grid(d.region, 32, 32);
     const GlobalRouter router(grid);
     IncrementalRouteState state;
-    state.rebuild_epoch = 0;
 
     std::vector<Vec2> saved(d.cells.size());
     for (size_t i = 0; i < d.cells.size(); ++i) saved[i] = d.cells[i].pos;
@@ -136,7 +133,6 @@ TEST(IncrementalRouteTest, PositionRollbackStaysConsistent) {
 TEST(IncrementalRouteTest, GridResizeAndConfigChangeForceRebuild) {
     Design d = small_design();
     IncrementalRouteState state;
-    state.rebuild_epoch = 0;
 
     const BinGrid grid32(d.region, 32, 32);
     const GlobalRouter r32(grid32);
@@ -160,23 +156,6 @@ TEST(IncrementalRouteTest, GridResizeAndConfigChangeForceRebuild) {
     expect_same_routing(relaxed_rr, r48r.route(d));
 }
 
-TEST(IncrementalRouteTest, RebuildEpochFiresDeterministically) {
-    const Design d = small_design();
-    const BinGrid grid(d.region, 32, 32);
-    const GlobalRouter router(grid);
-    IncrementalRouteState state;
-    state.rebuild_epoch = 2;
-
-    // Call 0 rebuilds (invalid state); afterwards every second call with a
-    // valid cache hits the epoch, independent of placement changes.
-    const bool expected[] = {true, false, true, false, true, false};
-    for (size_t i = 0; i < std::size(expected); ++i) {
-        EXPECT_EQ(router.route(d, &state).inc_full_rebuild, expected[i])
-            << "call " << i;
-    }
-    EXPECT_EQ(state.stats.full_rebuilds, 3);
-}
-
 TEST(IncrementalRouteTest, ThreadCountInvariant) {
     // The whole perturbation sequence, replayed per thread count, must
     // yield bitwise-identical demand maps and scalar metrics.
@@ -186,11 +165,11 @@ TEST(IncrementalRouteTest, ThreadCountInvariant) {
         const BinGrid grid(d.region, 32, 32);
         const GlobalRouter router(grid);
         IncrementalRouteState state;
-        state.rebuild_epoch = 3;
         Rng rng(55);
         RouteResult last;
         for (int step = 0; step < 5; ++step) {
             if (step > 0) perturb(d, rng, 10, 0.08);
+            if (step == 3) state.invalidate();  // mix cold and warm calls
             last = router.route(d, &state);
         }
         return last;
@@ -210,7 +189,6 @@ TEST(IncrementalRouteTest, CorruptedCacheTripsIncrementalRouteAuditor) {
     const BinGrid grid(d.region, 32, 32);
     const GlobalRouter router(grid);
     IncrementalRouteState state;
-    state.rebuild_epoch = 0;
 
     (void)router.route(d, &state);
     // Stale-cache corruption: the maintained demand no longer equals the

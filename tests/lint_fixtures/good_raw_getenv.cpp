@@ -10,7 +10,7 @@ int threads_knob() {
     return static_cast<int>(rdp::env::int_or("RDP_THREADS", 8, 1, 1024));
 }
 
-bool incremental_knob() {
+bool audit_knob() {
     // the string "getenv" in prose must not fire
-    return rdp::env::flag_or("RDP_INCREMENTAL", false);
+    return rdp::env::flag_or("RDP_AUDIT", true);
 }

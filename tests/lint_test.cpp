@@ -116,6 +116,20 @@ TEST(RdpRawGetenv, SilentOnGoodFixture) {
         << "unexpected: " << findings.front().message;
 }
 
+TEST(RdpEnvReader, FiresOnBadFixture) {
+    const auto findings =
+        check_fixture("rdp-env-reader", "bad_env_reader.cpp");
+    EXPECT_EQ(findings.size(), 2u);  // rdp::env::int_or and env::raw
+    for (const Finding& f : findings) EXPECT_EQ(f.check, "rdp-env-reader");
+}
+
+TEST(RdpEnvReader, SilentOnGoodFixture) {
+    const auto findings =
+        check_fixture("rdp-env-reader", "good_env_reader.cpp");
+    EXPECT_TRUE(findings.empty())
+        << "unexpected: " << findings.front().message;
+}
+
 TEST(RdpRawFileWrite, FiresOnBadFixture) {
     const auto findings =
         check_fixture("rdp-raw-file-write", "bad_raw_file_write.cpp");
@@ -160,6 +174,20 @@ TEST(LintPathRules, EnvLayerMayCallGetenv) {
         "const char* f() { return std::getenv(\"X\"); }\n";
     EXPECT_TRUE(rdp::lint::run_file("src/util/env.cpp", code).empty());
     EXPECT_EQ(rdp::lint::run_file("src/util/log.cpp", code).size(), 1u);
+}
+
+TEST(LintPathRules, OnlyTheConfigResolversMayReadTheEnvironment) {
+    const std::string code =
+        "bool f() { return rdp::env::flag_or(\"RDP_X\", true); }\n";
+    for (const char* path :
+         {"src/util/env.cpp", "src/place/global_placer.cpp",
+          "src/util/parallel.cpp", "src/util/log.cpp", "src/util/check.cpp",
+          "src/recover/fault_injection.cpp", "src/recover/kill_points.cpp"})
+        EXPECT_TRUE(rdp::lint::run_file(path, code).empty()) << path;
+    for (const char* path :
+         {"src/place/routability_loop.cpp", "src/recover/stage_guard.cpp",
+          "src/recover/durable_checkpoint.cpp", "src/util/grid2d.cpp"})
+        EXPECT_EQ(rdp::lint::run_file(path, code).size(), 1u) << path;
 }
 
 TEST(LintPathRules, ParallelLayerMayOwnThreads) {

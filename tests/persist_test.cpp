@@ -7,9 +7,8 @@
 //  * End-to-end (POSIX): a child `place_file` run is killed at every
 //    RDP_CRASH site, resumed with --resume=auto, and the resumed run's
 //    final placement must be byte-for-byte identical to the uninterrupted
-//    reference — with the incremental-routing cache on and off — and
-//    corrupted/truncated journals must fall back (or start clean), never
-//    crash or produce silent garbage.
+//    reference, and corrupted/truncated journals must fall back (or start
+//    clean), never crash or produce silent garbage.
 //
 // `ctest -L persist` selects this suite; run_checks.sh also drives the
 // label under ASan+UBSan.
@@ -493,9 +492,8 @@ protected:
         cfg.utilization = 0.7;
         cfg.num_ios = 8;
         write_design_file(generate_circuit(cfg), design_path());
-        // Uninterrupted references, incremental cache on and off.
-        ASSERT_EQ(run_child("", "1", ref_path(true), ""), 0);
-        ASSERT_EQ(run_child("", "0", ref_path(false), ""), 0);
+        // Uninterrupted reference.
+        ASSERT_EQ(run_child("", ref_path(), ""), 0);
     }
     static void TearDownTestSuite() {
         delete dir_;
@@ -503,22 +501,18 @@ protected:
     }
 
     static std::string design_path() { return *dir_ + "/design.txt"; }
-    static std::string ref_path(bool incremental) {
-        return *dir_ + (incremental ? "/ref_inc1.txt" : "/ref_inc0.txt");
-    }
+    static std::string ref_path() { return *dir_ + "/ref.txt"; }
     static std::string log_path() { return *dir_ + "/child.log"; }
 
     /// Run place_file on the shared design. `extra_env` is a shell
     /// prefix like "RDP_CRASH='wl-mid:15'"; `flags` appends CLI options.
     /// Returns the child's exit code (-1 when it did not exit normally).
     static int run_child(const std::string& extra_env,
-                         const std::string& incremental,
                          const std::string& out_path,
                          const std::string& flags) {
         const std::string cmd =
-            "RDP_INCREMENTAL=" + incremental + " " + extra_env + " '" +
-            RDP_PLACE_FILE_BIN + "' '" + design_path() + "' '" + out_path +
-            "' --bins=16 --seed=7 --wl-iters=60 --route-iters=4"
+            extra_env + " '" + RDP_PLACE_FILE_BIN + "' '" + design_path() +
+            "' '" + out_path + "' --bins=16 --seed=7 --wl-iters=60 --route-iters=4"
             " --inner-iters=6 --no-eval " +
             flags + " > '" + log_path() + "' 2>&1";
         const int rc = std::system(cmd.c_str());
@@ -531,33 +525,30 @@ protected:
     /// uninterrupted reference byte for byte. A non-empty `fault` arms that
     /// RDP_FAULT spec in the killed, the resumed, and a fresh uninterrupted
     /// reference run, so the resume starts from recovery-adjusted state.
-    void crash_and_resume(const std::string& site, bool incremental,
+    void crash_and_resume(const std::string& site,
                           const std::string& fault = "") {
-        const std::string label = site + (fault.empty() ? "" : " " + fault) +
-                                  (incremental ? " (inc on)" : " (inc off)");
-        const std::string inc = incremental ? "1" : "0";
-        const std::string ckpt =
-            fresh_dir("e2e_" + site + fault + "_inc" + inc);
+        const std::string label = site + (fault.empty() ? "" : " " + fault);
+        const std::string ckpt = fresh_dir("e2e_" + site + fault);
         const std::string out = ckpt + "/out.txt";
         const std::string flags =
             "--checkpoint-dir='" + ckpt + "' --checkpoint-every=10";
         const std::string fault_env =
             fault.empty() ? "" : "RDP_FAULT='" + fault + "' ";
-        std::string ref = ref_path(incremental);
+        std::string ref = ref_path();
         if (!fault.empty()) {
             ref = ckpt + "/ref.txt";
-            ASSERT_EQ(run_child(fault_env, inc, ref, ""), 0)
+            ASSERT_EQ(run_child(fault_env, ref, ""), 0)
                 << label << " reference run failed:\n"
                 << child_log();
         }
-        ASSERT_EQ(run_child(fault_env + "RDP_CRASH='" + site + "'", inc, out,
-                            flags),
-                  recover::crash::kExitCode)
+        ASSERT_EQ(
+            run_child(fault_env + "RDP_CRASH='" + site + "'", out, flags),
+            recover::crash::kExitCode)
             << label << " did not die at the kill point:\n"
             << child_log();
         EXPECT_FALSE(fs::exists(out))
             << label << ": the killed run must not have published output";
-        ASSERT_EQ(run_child(fault_env, inc, out, flags + " --resume=auto"), 0)
+        ASSERT_EQ(run_child(fault_env, out, flags + " --resume=auto"), 0)
             << label << " failed to resume:\n"
             << child_log();
         EXPECT_NE(child_log().find("resuming from generation"),
@@ -579,23 +570,36 @@ TEST_F(PersistEndToEnd, CheckpointingIsByteInvisible) {
     // and without the journal.
     const std::string ckpt = fresh_dir("e2e_noop");
     const std::string out = ckpt + "/out.txt";
-    ASSERT_EQ(run_child("", "1", out,
-                        "--checkpoint-dir='" + ckpt +
-                            "' --checkpoint-every=10"),
-              0)
+    ASSERT_EQ(
+        run_child("", out,
+                  "--checkpoint-dir='" + ckpt + "' --checkpoint-every=10"),
+        0)
         << child_log();
-    EXPECT_TRUE(read_bytes(out) == read_bytes(ref_path(true)));
+    EXPECT_TRUE(read_bytes(out) == read_bytes(ref_path()));
     EXPECT_TRUE(fs::exists(ckpt + "/ckpt-a.bin"));
 }
 
+TEST_F(PersistEndToEnd, MalformedNumericFlagExitsWithUsage) {
+    // A bad flag value must stop place_file with the usage line and exit
+    // status 2 before it places or writes anything — not abort from an
+    // uncaught std::stoi exception.
+    for (const std::string flag : {"--bins=abc", "--checkpoint-every=x"}) {
+        const std::string out = fresh_dir("e2e_bad_flag") + "/out.txt";
+        EXPECT_EQ(run_child("", out, flag), 2) << flag << ":\n"
+                                               << child_log();
+        EXPECT_NE(child_log().find("usage:"), std::string::npos)
+            << flag << ":\n"
+            << child_log();
+        EXPECT_FALSE(fs::exists(out)) << flag;
+    }
+}
+
 TEST_F(PersistEndToEnd, KilledMidWirelengthStageResumesBitwise) {
-    crash_and_resume("wl-mid:15", true);
-    crash_and_resume("wl-mid:15", false);
+    crash_and_resume("wl-mid:15");
 }
 
 TEST_F(PersistEndToEnd, KilledMidRoutabilityStageResumesBitwise) {
-    crash_and_resume("route-mid:2", true);
-    crash_and_resume("route-mid:2", false);
+    crash_and_resume("route-mid:2");
 }
 
 // Resume after a recovery action: the snapshot must carry the rolled-back
@@ -603,32 +607,25 @@ TEST_F(PersistEndToEnd, KilledMidRoutabilityStageResumesBitwise) {
 // was re-executed — the fault harness is per-process, so a resume from
 // before the fault would re-fire it and differ for that reason alone.
 TEST_F(PersistEndToEnd, ResumesAfterRoutabilityRollbackBitwise) {
-    crash_and_resume("route-mid:4", true, "routability-gp:gradient-nan:1");
-    crash_and_resume("route-mid:4", false, "routability-gp:gradient-nan:1");
+    crash_and_resume("route-mid:4", "routability-gp:gradient-nan:1");
 }
 
 TEST_F(PersistEndToEnd, ResumesAfterRouterRelaxationBitwise) {
-    crash_and_resume("route-mid:4", true,
-                     "routability-gp:router-no-progress:0");
-    crash_and_resume("route-mid:4", false,
-                     "routability-gp:router-no-progress:0");
+    crash_and_resume("route-mid:4", "routability-gp:router-no-progress:0");
 }
 
 TEST_F(PersistEndToEnd, ResumesAfterWirelengthRollbackBitwise) {
-    crash_and_resume("wl-mid:55", true, "wirelength-gp:gradient-nan:20");
-    crash_and_resume("wl-mid:55", false, "wirelength-gp:gradient-nan:20");
+    crash_and_resume("wl-mid:55", "wirelength-gp:gradient-nan:20");
 }
 
 TEST_F(PersistEndToEnd, KilledMidCheckpointWriteResumesBitwise) {
     // The hardest case: death halfway through the journal write itself —
     // the torn temp file must be ignored and the previous generation used.
-    crash_and_resume("ckpt-mid-write:3", true);
-    crash_and_resume("ckpt-mid-write:3", false);
+    crash_and_resume("ckpt-mid-write:3");
 }
 
 TEST_F(PersistEndToEnd, KilledAfterCheckpointPublishResumesBitwise) {
-    crash_and_resume("ckpt-post-write:4", true);
-    crash_and_resume("ckpt-post-write:4", false);
+    crash_and_resume("ckpt-post-write:4");
 }
 
 TEST_F(PersistEndToEnd, CorruptedNewestGenerationFallsBackBitwise) {
@@ -636,7 +633,7 @@ TEST_F(PersistEndToEnd, CorruptedNewestGenerationFallsBackBitwise) {
     const std::string out = ckpt + "/out.txt";
     const std::string flags =
         "--checkpoint-dir='" + ckpt + "' --checkpoint-every=10";
-    ASSERT_EQ(run_child("", "1", out, flags), 0) << child_log();
+    ASSERT_EQ(run_child("", out, flags), 0) << child_log();
     // Damage whichever slot holds the newest generation, then resume.
     const std::string a = read_bytes(ckpt + "/ckpt-a.bin");
     const std::string b = read_bytes(ckpt + "/ckpt-b.bin");
@@ -646,14 +643,14 @@ TEST_F(PersistEndToEnd, CorruptedNewestGenerationFallsBackBitwise) {
     flip_byte(ckpt + (gen_a > gen_b ? "/ckpt-a.bin" : "/ckpt-b.bin"),
               kHeaderSize + kSectionHeaderSize + 9);
     const std::string out2 = ckpt + "/out2.txt";
-    ASSERT_EQ(run_child("", "1", out2, flags + " --resume=auto"), 0)
+    ASSERT_EQ(run_child("", out2, flags + " --resume=auto"), 0)
         << child_log();
     const std::string log = child_log();
     EXPECT_NE(log.find("rejected"), std::string::npos) << log;
     EXPECT_NE(log.find("trying the previous generation"), std::string::npos)
         << log;
     EXPECT_NE(log.find("resuming from generation"), std::string::npos) << log;
-    EXPECT_TRUE(read_bytes(out2) == read_bytes(ref_path(true)));
+    EXPECT_TRUE(read_bytes(out2) == read_bytes(ref_path()));
 }
 
 TEST_F(PersistEndToEnd, BothGenerationsUnusableStartsCleanBitwise) {
@@ -661,7 +658,7 @@ TEST_F(PersistEndToEnd, BothGenerationsUnusableStartsCleanBitwise) {
     const std::string out = ckpt + "/out.txt";
     const std::string flags =
         "--checkpoint-dir='" + ckpt + "' --checkpoint-every=10";
-    ASSERT_EQ(run_child("", "1", out, flags), 0) << child_log();
+    ASSERT_EQ(run_child("", out, flags), 0) << child_log();
     flip_byte(ckpt + "/ckpt-a.bin", kHeaderSize + 2);
     // Truncate the other mid-payload: a different damage class.
     const std::string b = read_bytes(ckpt + "/ckpt-b.bin");
@@ -671,11 +668,11 @@ TEST_F(PersistEndToEnd, BothGenerationsUnusableStartsCleanBitwise) {
         trunc.write(b.data(), static_cast<std::streamsize>(b.size() / 3));
     }
     const std::string out2 = ckpt + "/out2.txt";
-    ASSERT_EQ(run_child("", "1", out2, flags + " --resume=auto"), 0)
+    ASSERT_EQ(run_child("", out2, flags + " --resume=auto"), 0)
         << child_log();
     const std::string log = child_log();
     EXPECT_NE(log.find("no usable checkpoint"), std::string::npos) << log;
-    EXPECT_TRUE(read_bytes(out2) == read_bytes(ref_path(true)))
+    EXPECT_TRUE(read_bytes(out2) == read_bytes(ref_path()))
         << "a clean restart must still match the reference bitwise";
 }
 
@@ -687,14 +684,14 @@ TEST_F(PersistEndToEnd, UnwritableCheckpointDirDegradesAndFinishes) {
         f << "file, not dir";
     }
     const std::string out = parent + "/out.txt";
-    ASSERT_EQ(run_child("", "1", out,
+    ASSERT_EQ(run_child("", out,
                         "--checkpoint-dir='" + blocker + "/sub'"),
               0)
         << child_log();
     EXPECT_NE(child_log().find("durable checkpointing disabled"),
               std::string::npos)
         << child_log();
-    EXPECT_TRUE(read_bytes(out) == read_bytes(ref_path(true)))
+    EXPECT_TRUE(read_bytes(out) == read_bytes(ref_path()))
         << "the degraded run must still place identically";
 }
 

@@ -349,34 +349,6 @@ TEST_F(FaultRecoveryTest, RoutabilityStageRecoversFromStaleIncrementalCache) {
     EXPECT_TRUE(rerouted);
 }
 
-TEST_F(FaultRecoveryTest, IncrementalCacheInvalidatedOnRollbackBitwise) {
-    // Regression: a recovery rollback restores checkpointed positions, so
-    // the incremental caches (reconciled against the failed attempt) must
-    // be dropped. If they were reused, the RDP_INCREMENTAL=1 run would
-    // diverge from the from-scratch run after the first rollback.
-    const Design input = generate_circuit(recover_design_cfg());
-    const PlacerConfig cfg = recover_placer_cfg();
-    auto run = [&](const char* incremental) {
-        setenv("RDP_INCREMENTAL", incremental, 1);
-        recover::fault::clear();
-        recover::fault::arm(
-            {"routability-gp", FaultKind::GradientNaN, 1, 1});
-        const PlaceResult res = GlobalPlacer(cfg).place(input);
-        unsetenv("RDP_INCREMENTAL");
-        EXPECT_GE(res.recovery.rollbacks, 1);
-        return res;
-    };
-    const PlaceResult on = run("1");
-    const PlaceResult off = run("0");
-    EXPECT_EQ(on.hpwl_final, off.hpwl_final);
-    ASSERT_EQ(on.placed.num_cells(), off.placed.num_cells());
-    for (int i = 0; i < on.placed.num_cells(); ++i) {
-        ASSERT_EQ(on.placed.cells[static_cast<size_t>(i)].pos,
-                  off.placed.cells[static_cast<size_t>(i)].pos)
-            << "cell " << i << " diverged under RDP_INCREMENTAL=1";
-    }
-}
-
 TEST_F(FaultRecoveryTest, RoutabilityStageRelaxesLivelockedRouter) {
     const PlaceResult res = place_with_fault(
         {"routability-gp", FaultKind::RouterNoProgress, 1, 1});

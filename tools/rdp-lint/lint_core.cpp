@@ -311,6 +311,34 @@ void check_raw_getenv(const std::string& stripped, const std::string& path,
     }
 }
 
+// ---- rdp-env-reader -------------------------------------------------------
+
+void check_env_reader(const std::string& stripped, const std::string& path,
+                      std::vector<Finding>& out) {
+    static constexpr std::string_view kReaders[] = {
+        "raw", "int_or", "double_or", "flag_or", "choice_or"};
+    for (const Token& t : identifiers(stripped)) {
+        if (std::find(std::begin(kReaders), std::end(kReaders), t.text) ==
+            std::end(kReaders))
+            continue;
+        if (!followed_by_call(stripped, t)) continue;
+        // Qualified by the env namespace: `env::raw(` / `rdp::env::raw(`.
+        const size_t p = prev_sig(stripped, t.pos);
+        if (p == std::string::npos || p == 0 || stripped[p] != ':' ||
+            stripped[p - 1] != ':')
+            continue;
+        const size_t q = prev_sig(stripped, p - 1);
+        if (q == std::string::npos || ident_ending_at(stripped, q) != "env")
+            continue;
+        add(out, "rdp-env-reader", path, t.line,
+            "env::" + std::string(t.text) +
+                "() outside the files that resolve configuration; a run "
+                "knob is read once, in GlobalPlacer::place() "
+                "(resolve_run_config), and every stage reads the resolved "
+                "PlacerConfig (DESIGN.md §15)");
+    }
+}
+
 // ---- rdp-raw-file-write ---------------------------------------------------
 
 /// True when the token sits on a preprocessor directive line: `#include
@@ -409,12 +437,27 @@ bool is_kernel_header(const std::string& path) {
            path_contains(path, "dct_kernel.hpp");
 }
 
+/// The files allowed to read the environment: the env layer itself, the
+/// run-config resolver, and the process-wide knobs (threads, log level,
+/// audit switch, fault and crash harnesses).
+bool may_read_env(const std::string& path) {
+    static constexpr std::string_view kFiles[] = {
+        "util/env.cpp",      "place/global_placer.cpp",
+        "util/parallel.cpp", "util/log.cpp",
+        "util/check.cpp",    "recover/fault_injection.cpp",
+        "recover/kill_points.cpp"};
+    return std::any_of(
+        std::begin(kFiles), std::end(kFiles),
+        [&](std::string_view f) { return path_contains(path, f); });
+}
+
 }  // namespace
 
 const std::vector<std::string>& all_checks() {
     static const std::vector<std::string> kChecks = {
         "rdp-raw-exp", "rdp-unordered-iteration", "rdp-raw-thread",
-        "rdp-raw-getenv", "rdp-raw-file-write", "rdp-hot-loop-alloc"};
+        "rdp-raw-getenv", "rdp-env-reader", "rdp-raw-file-write",
+        "rdp-hot-loop-alloc"};
     return kChecks;
 }
 
@@ -535,6 +578,7 @@ std::vector<Finding> run_check(std::string_view check, const std::string& path,
         check_unordered_iteration(stripped, path, out);
     if (check == "rdp-raw-thread") check_raw_thread(stripped, path, out);
     if (check == "rdp-raw-getenv") check_raw_getenv(stripped, path, out);
+    if (check == "rdp-env-reader") check_env_reader(stripped, path, out);
     if (check == "rdp-raw-file-write")
         check_raw_file_write(stripped, path, out);
     if (check == "rdp-hot-loop-alloc")
@@ -548,14 +592,16 @@ std::vector<Finding> run_file(const std::string& path,
     const std::string stripped = strip_comments_and_strings(content);
     // The simd layer is the one place allowed to touch raw exp/fma; the
     // parallel layer is the one place allowed to own threads; the env
-    // parser is the one place allowed to call getenv; the atomic-write
-    // helper is the one place allowed to open a file for writing.
+    // parser is the one place allowed to call getenv, and may_read_env()
+    // lists the files allowed to call its readers; the atomic-write helper
+    // is the one place allowed to open a file for writing.
     if (!path_contains(path, "util/simd.")) check_raw_exp(stripped, path, out);
     check_unordered_iteration(stripped, path, out);
     if (!path_contains(path, "util/parallel."))
         check_raw_thread(stripped, path, out);
     if (!path_contains(path, "util/env.cpp"))
         check_raw_getenv(stripped, path, out);
+    if (!may_read_env(path)) check_env_reader(stripped, path, out);
     if (!path_contains(path, "util/io_atomic."))
         check_raw_file_write(stripped, path, out);
     if (is_kernel_header(path)) check_hot_loop_alloc(stripped, path, out);

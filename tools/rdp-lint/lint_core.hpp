@@ -4,7 +4,7 @@
 // standard library, so the lint gate runs — and fails the build on a
 // violation — on every host the project builds on.
 //
-// The six rules:
+// The seven rules:
 //
 //   rdp-raw-exp             std::exp / std::fma (and friends) outside
 //                           src/util/simd.* — everything else must go
@@ -20,6 +20,12 @@
 //                           the deterministic chunk-plan layer (§9).
 //   rdp-raw-getenv          std::getenv outside src/util/env.cpp — every
 //                           knob must use the strict util/env parser.
+//   rdp-env-reader          env::raw / int_or / double_or / flag_or /
+//                           choice_or outside the six files that read the
+//                           environment (global_placer, parallel, log,
+//                           check, fault_injection, kill_points) — a run
+//                           knob is resolved once in GlobalPlacer::place()
+//                           and the stages read the resolved PlacerConfig.
 //   rdp-raw-file-write      std::ofstream / std::fstream / fopen outside
 //                           src/util/io_atomic.* — files must be
 //                           published via io::atomic_write (temp + fsync
@@ -62,6 +68,7 @@ std::vector<Finding> run_check(std::string_view check, const std::string& path,
 
 /// Run every check whose path rules say it applies to `path`: the exp/
 /// thread/getenv/file-write checks skip their own implementation files, the
+/// env-reader check skips the files allowed to read the environment, the
 /// hot-loop-alloc check fires only on the four kernel headers. This is
 /// what the rdp_lint CLI and the full-tree regression test use.
 std::vector<Finding> run_file(const std::string& path,
