@@ -12,13 +12,16 @@
 #                        portable fallback backend must pass everything the
 #                        native-SIMD build passes, bit for bit)
 #   6. release build     CMAKE_BUILD_TYPE=Release (-O3) + ctest -L simd,
-#                        -L golden and -L parallel: the determinism contract
-#                        must survive GCC's -O3 vectorizer too
+#                        -L golden, -L parallel and -L router: the
+#                        determinism contract must survive GCC's -O3
+#                        vectorizer too, and so must the maze search's tie
+#                        certificate, which compares doubles for equality
 #   7. sanitizer matrix  address, undefined, address;undefined -> ctest -L sanitize
 #                        thread                                -> ctest -L parallel
 #                        plus explicit ASan+UBSan passes: ctest -L recover
 #                        (fault injection), ctest -L router (persistent
-#                        route/RUDY caches), ctest -L poisson (spectral
+#                        route/RUDY caches, maze search equivalence),
+#                        ctest -L poisson (spectral
 #                        kernels), ctest -L
 #                        simd (vector backends / stable_exp / kernel
 #                        equivalence), and ctest -L persist (durable
@@ -174,14 +177,15 @@ else
     record_failure "scalar-backend build"
 fi
 
-# ---- 6. -O3 release build: simd, golden and parallel labels ---------------
+# ---- 6. -O3 release build: simd, golden, parallel and router labels ------
 # The default build is RelWithDebInfo (-O2). At -O3 GCC's vectorizer
 # rewrites more loops (DESIGN.md §14); the cross-backend, golden-digest and
-# thread-count contracts must hold there as well.
-note "release build (CMAKE_BUILD_TYPE=Release) + ctest -L simd/golden/parallel"
+# thread-count contracts must hold there as well, and the maze search must
+# still return the binary-heap reference's paths (DESIGN.md §17).
+note "release build (CMAKE_BUILD_TYPE=Release) + ctest -L simd/golden/parallel/router"
 if cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null &&
    cmake --build build-release -j "$JOBS"; then
-    for label in simd golden parallel; do
+    for label in simd golden parallel router; do
         if require_label build-release "$label"; then
             if ! ctest --test-dir build-release -L "$label" \
                        --output-on-failure -j "$JOBS"; then
@@ -227,9 +231,9 @@ if [[ "$FAST" == 0 ]]; then
         fi
     fi
 
-    # Incremental routing under ASan+UBSan: the persistent route/RUDY
-    # caches (rip-up/commit deltas, dirty-bin recompute) must be memory-
-    # and UB-clean.
+    # Routing under ASan+UBSan: the persistent route/RUDY caches (rip-up/
+    # commit deltas, dirty-bin recompute) and the maze search's padded
+    # window and bucket ring must be memory- and UB-clean.
     note "incremental routing under ASan+UBSan (ctest -L router)"
     if require_label build-san-address-undefined router; then
         if ! ctest --test-dir build-san-address-undefined \

@@ -3,10 +3,13 @@
 #include <chrono>
 
 #include "fft/fft.hpp"
+#include "util/config_error.hpp"
 
 namespace rdp {
 
 EvalMetrics evaluate_placement(const Design& d, const EvalConfig& cfg) {
+    require_at_least("grid_bins", cfg.grid_bins, 1);
+    validate_router_config(cfg.router);
     EvalMetrics m;
     const int bins = next_pow2(cfg.grid_bins);
     const BinGrid grid(d.region, bins, bins);

@@ -19,6 +19,7 @@
 #include "recover/durable_checkpoint.hpp"
 #include "recover/kill_points.hpp"
 #include "recover/stage_guard.hpp"
+#include "util/config_error.hpp"
 #include "util/env.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -73,6 +74,20 @@ PlacerConfig resolve_run_config(PlacerConfig cfg) {
     if (const auto res = env::raw("RDP_RESUME"); res && !res->empty())
         cfg.durable.resume = *res;
     return cfg;
+}
+
+/// Rejects a field outside its domain with a ConfigError before place()
+/// does any work: unchecked, a negative maze margin crashes the router
+/// and grid_bins < 1 silently places on a 1 x 1 grid.
+void validate_placer_config(const PlacerConfig& cfg) {
+    require_at_least("grid_bins", cfg.grid_bins, 1);
+    require_at_least("max_wl_iters", cfg.max_wl_iters, 0);
+    require_at_least("inner_iters", cfg.inner_iters, 0);
+    require_at_least("max_route_iters", cfg.max_route_iters, 0);
+    require_at_least("dc_weight", cfg.dc_weight, 0.0);
+    require_at_least("dpa_weight", cfg.dpa_weight, 0.0);
+    require_at_least("filler_ratio", cfg.filler_ratio, 0.0);
+    validate_router_config(cfg.router);
 }
 
 constexpr const char* kWirelengthStage = "wirelength-gp";
@@ -280,6 +295,7 @@ PlaceResult GlobalPlacer::place(const Design& input) const {
     RDP_LOG_INFO() << "simd backend: " << simd::backend_name()
                    << (simd::fma_enabled() ? " (fma)" : "");
     const PlacerConfig cfg = resolve_run_config(cfg_);
+    validate_placer_config(cfg);
     PlaceResult res;
 
     Design d = input;

@@ -155,7 +155,10 @@ public:
     /// The run's configuration is resolved once, on entry: the
     /// RDP_RECOVER, RDP_STAGE_BUDGET_MS, RDP_CHECKPOINT_DIR,
     /// RDP_CHECKPOINT_EVERY and RDP_RESUME environment variables are read
-    /// then and override `config()` for this call only.
+    /// then and override `config()` for this call only. A field outside
+    /// its domain (grid_bins < 1; a negative iteration count, rrr_rounds,
+    /// maze window margin, dc_weight, dpa_weight or filler_ratio) throws
+    /// ConfigError (util/config_error.hpp) before any work.
     PlaceResult place(const Design& input) const;
 
     /// Append filler cells to a working copy (exposed for tests).

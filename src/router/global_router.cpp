@@ -10,9 +10,15 @@
 
 #include "audit/invariant_audit.hpp"
 #include "router/net_decompose.hpp"
+#include "util/config_error.hpp"
 #include "util/parallel.hpp"
 
 namespace rdp {
+
+void validate_router_config(const RouterConfig& cfg) {
+    require_at_least("router.rrr_rounds", cfg.rrr_rounds, 0);
+    require_at_least("router.maze.window_margin", cfg.maze.window_margin, 0);
+}
 
 GlobalRouter::GlobalRouter(BinGrid grid, RouterConfig cfg)
     : grid_(grid), cfg_(std::move(cfg)) {

@@ -70,6 +70,11 @@ struct RouterConfig {
     double min_capacity = 0.5;
 };
 
+/// Throws ConfigError (util/config_error.hpp) for a negative rrr_rounds or
+/// maze.window_margin, naming the field as it sits in PlacerConfig and
+/// EvalConfig ("router.rrr_rounds", "router.maze.window_margin").
+void validate_router_config(const RouterConfig& cfg);
+
 struct RouteResult {
     CongestionMap congestion;  ///< Dmd (wire+via) vs Cap, Eq. (3) source
     GridF demand_h;

@@ -7,6 +7,7 @@
 // production global routers.
 
 #include <algorithm>
+#include <optional>
 
 #include "router/pattern_route.hpp"
 #include "util/geometry.hpp"
@@ -37,14 +38,39 @@ struct CellWindow {
 /// The window maze_route searches between (x0,y0) and (x1,y1) on an
 /// nx x ny grid: the endpoints' bounding box grown by the margin, clamped
 /// to the grid. Every L/Z pattern between the endpoints lies inside it too.
+/// Precondition: cfg.window_margin >= 0 and both endpoints lie on the grid;
+/// a negative margin can give a window that misses an endpoint (the public
+/// entry points reject it with a ConfigError before any routing).
 CellWindow maze_window(int x0, int y0, int x1, int y1, int nx, int ny,
                        const MazeConfig& cfg);
 
 /// Shortest path from (x0,y0) to (x1,y1) under the cost model, restricted
-/// to the window. Returns an empty path only if the window somehow
-/// disconnects the endpoints (cannot happen for margin >= 0 since the
-/// window always contains both endpoints and is rectangular).
+/// to the window, with maze_window's precondition. With a non-negative
+/// margin the window is a rectangle holding both endpoints, so the path is
+/// never empty. The result is exactly maze_detail::heap_route's, ties
+/// included: the bucket-queue search answers when it can certify that, and
+/// the heap search answers otherwise (DESIGN.md §17).
 RoutePath maze_route(int x0, int y0, int x1, int y1, const RouteCostModel& m,
                      const MazeConfig& cfg = {});
+
+/// The two searches behind maze_route, exposed for the equivalence tests.
+namespace maze_detail {
+
+/// Binary-heap Dijkstra over (cell, entry direction) nodes: the reference
+/// whose pop order defines which of several equal-cost paths is returned.
+RoutePath heap_route(int x0, int y0, int x1, int y1, const RouteCostModel& m,
+                     const MazeConfig& cfg);
+
+/// Dial bucket-queue search over the same nodes. Returns heap_route's path,
+/// or std::nullopt when it cannot prove that: a window cost that is not
+/// positive and finite, a negative or non-finite via cost, a cost ratio
+/// that needs more ring buckets than the window has nodes, or a tie that
+/// the heap's pop order would break (two goal directions at equal cost, or
+/// a path node with two predecessors at its cost).
+std::optional<RoutePath> bucket_route(int x0, int y0, int x1, int y1,
+                                      const RouteCostModel& m,
+                                      const MazeConfig& cfg);
+
+}  // namespace maze_detail
 
 }  // namespace rdp

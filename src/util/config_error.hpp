@@ -1,0 +1,36 @@
+#pragma once
+// Typed rejection of a configuration value outside its domain. The public
+// entry points (GlobalPlacer::place, evaluate_placement) validate their
+// config before any work, so a bad value fails there with a message naming
+// the field instead of crashing or silently misbehaving deep in a kernel.
+
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
+
+namespace rdp {
+
+class ConfigError : public std::invalid_argument {
+public:
+    ConfigError(std::string field, const std::string& message)
+        : std::invalid_argument(field + ": " + message),
+          field_(std::move(field)) {}
+
+    /// Dotted path of the offending field, e.g. "router.maze.window_margin".
+    const std::string& field() const { return field_; }
+
+private:
+    std::string field_;
+};
+
+/// Throws ConfigError unless value >= min (NaN fails too).
+inline void require_at_least(const std::string& field, double value,
+                             double min) {
+    if (value >= min) return;
+    std::ostringstream msg;
+    msg << "must be >= " << min << ", got " << value;
+    throw ConfigError(field, msg.str());
+}
+
+}  // namespace rdp

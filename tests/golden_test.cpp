@@ -6,7 +6,9 @@
 // pin an absolute FNV-1a-64 digest instead, over the final positions,
 // hpwl_final, route_best_iter, and the recovery event sequence (stage,
 // kind, action, iteration) — clean runs of two small designs in all three
-// PlacerModes, plus one run per injected fault the recovery suite uses.
+// PlacerModes, one run per Table II toggle (no MCI / DC / DPA) and per
+// alternative congestion model (RUDY source, bounding-box DC penalty), plus
+// one run per injected fault the recovery suite uses.
 // A second digest per run pins the evaluation routing of the final
 // placement (evaluate_placement's DRWL, #vias and #DRVs at twice the
 // placement grid, as the Table I harness scores it).
@@ -166,6 +168,34 @@ TEST_F(GoldenTest, CleanRunsInEveryMode) {
     for (const Run& r : runs)
         expect_digest(r.name, r.gen, short_cfg(r.mode), r.golden,
                       r.eval_golden);
+}
+
+TEST_F(GoldenTest, AblationTogglesAndCongestionModels) {
+    struct Run {
+        const char* name;
+        void (*apply)(PlacerConfig&);
+        uint64_t golden;
+        uint64_t eval_golden;
+    };
+    const Run runs[] = {
+        {"a/no-mci", [](PlacerConfig& c) { c.enable_mci = false; },
+         0x19a51c4173fe95a0ull, 0x3684b6871cd7e4beull},
+        {"a/no-dc", [](PlacerConfig& c) { c.enable_dc = false; },
+         0x9aa7e6a511630b08ull, 0x3d2fef12edd43d61ull},
+        {"a/no-dpa", [](PlacerConfig& c) { c.enable_dpa = false; },
+         0xf7a5364031f2acf2ull, 0xc0a92046ae6bf795ull},
+        {"a/rudy-congestion",
+         [](PlacerConfig& c) { c.use_rudy_congestion = true; },
+         0x8109120275023a46ull, 0x4887ec5a9486d06bull},
+        {"a/bbox-dc-model",
+         [](PlacerConfig& c) { c.use_bbox_dc_model = true; },
+         0xb39019e78ac3bdceull, 0x8e153f1c1c97ec8cull},
+    };
+    for (const Run& r : runs) {
+        PlacerConfig cfg = short_cfg(PlacerMode::Ours);
+        r.apply(cfg);
+        expect_digest(r.name, design_a(), cfg, r.golden, r.eval_golden);
+    }
 }
 
 TEST_F(GoldenTest, EveryRecoveryPath) {

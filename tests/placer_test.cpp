@@ -3,11 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "benchgen/generator.hpp"
+#include "eval/route_metrics.hpp"
 #include "legal/tetris.hpp"
 #include "place/global_placer.hpp"
 #include "place/objective.hpp"
 #include "place/routability_loop.hpp"
+#include "util/config_error.hpp"
 #include "wirelength/hpwl.hpp"
 
 namespace rdp {
@@ -197,6 +201,69 @@ TEST(RoutabilityStageTest, StandaloneRunImprovesOrHoldsOverflow) {
     ASSERT_FALSE(rs.total_overflow.empty());
     ASSERT_EQ(rs.mean_inflation.size(), rs.total_overflow.size());
     for (const double m : rs.mean_inflation) EXPECT_GE(m, 0.9);
+}
+
+TEST(ConfigValidationTest, PlaceRejectsOutOfDomainFields) {
+    const Design d = generate_circuit(small_cfg());
+    struct Case {
+        const char* field;
+        void (*apply)(PlacerConfig&);
+    };
+    const Case cases[] = {
+        // Unchecked, crashes the maze router (SIGSEGV).
+        {"router.maze.window_margin",
+         [](PlacerConfig& c) { c.router.maze.window_margin = -3; }},
+        // Unchecked, silently places on a 1 x 1 grid.
+        {"grid_bins", [](PlacerConfig& c) { c.grid_bins = -8; }},
+        {"grid_bins", [](PlacerConfig& c) { c.grid_bins = 0; }},
+        {"max_wl_iters", [](PlacerConfig& c) { c.max_wl_iters = -1; }},
+        {"inner_iters", [](PlacerConfig& c) { c.inner_iters = -1; }},
+        {"max_route_iters", [](PlacerConfig& c) { c.max_route_iters = -1; }},
+        {"router.rrr_rounds",
+         [](PlacerConfig& c) { c.router.rrr_rounds = -1; }},
+        {"dc_weight", [](PlacerConfig& c) { c.dc_weight = -0.1; }},
+        {"dc_weight",
+         [](PlacerConfig& c) {
+             c.dc_weight = std::numeric_limits<double>::quiet_NaN();
+         }},
+        {"dpa_weight", [](PlacerConfig& c) { c.dpa_weight = -0.1; }},
+        {"filler_ratio", [](PlacerConfig& c) { c.filler_ratio = -0.5; }},
+    };
+    for (const Case& c : cases) {
+        PlacerConfig cfg = fast_cfg(PlacerMode::Ours);
+        c.apply(cfg);
+        try {
+            (void)GlobalPlacer(cfg).place(d);
+            ADD_FAILURE() << c.field << ": accepted";
+        } catch (const ConfigError& e) {
+            EXPECT_EQ(e.field(), c.field);
+        }
+    }
+}
+
+TEST(ConfigValidationTest, ZeroMarginAndZeroRoundsAreValid) {
+    PlacerConfig cfg = fast_cfg(PlacerMode::Ours);
+    cfg.router.maze.window_margin = 0;
+    cfg.router.rrr_rounds = 0;
+    const PlaceResult res =
+        GlobalPlacer(cfg).place(generate_circuit(small_cfg()));
+    EXPECT_GT(res.hpwl_final, 0.0);
+    cfg.router.rrr_rounds = 2;
+    EXPECT_GT(GlobalPlacer(cfg).place(generate_circuit(small_cfg())).hpwl_final,
+              0.0);
+}
+
+TEST(ConfigValidationTest, EvaluatePlacementRejectsOutOfDomainFields) {
+    const Design d = generate_circuit(small_cfg());
+    EvalConfig bins;
+    bins.grid_bins = 0;
+    EXPECT_THROW(evaluate_placement(d, bins), ConfigError);
+    EvalConfig margin;
+    margin.router.maze.window_margin = -1;
+    EXPECT_THROW(evaluate_placement(d, margin), ConfigError);
+    EvalConfig rounds;
+    rounds.router.rrr_rounds = -2;
+    EXPECT_THROW(evaluate_placement(d, rounds), ConfigError);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <functional>
+#include <limits>
+#include <optional>
 
 #include "benchgen/generator.hpp"
 #include "router/global_router.hpp"
@@ -183,6 +185,17 @@ TEST(LayerAssignTest, ViaCounting) {
 }
 
 
+/// Equal spans, direction included: "the same route, bit for bit".
+void expect_same_spans(const RoutePath& a, const RoutePath& b) {
+    ASSERT_EQ(a.segs.size(), b.segs.size());
+    for (size_t i = 0; i < a.segs.size(); ++i) {
+        const RouteSeg &s = a.segs[i], &t = b.segs[i];
+        EXPECT_TRUE(s.x0 == t.x0 && s.y0 == t.y0 && s.x1 == t.x1 &&
+                    s.y1 == t.y1 && s.dir == t.dir)
+            << "span " << i;
+    }
+}
+
 class MazeRouteTest : public ::testing::Test {
 protected:
     void SetUp() override {
@@ -276,16 +289,6 @@ protected:
         return p;
     }
 
-    static void expect_same(const RoutePath& a, const RoutePath& b) {
-        ASSERT_EQ(a.segs.size(), b.segs.size());
-        for (size_t i = 0; i < a.segs.size(); ++i) {
-            const RouteSeg &s = a.segs[i], &t = b.segs[i];
-            EXPECT_TRUE(s.x0 == t.x0 && s.y0 == t.y0 && s.x1 == t.x1 &&
-                        s.y1 == t.y1 && s.dir == t.dir)
-                << "span " << i;
-        }
-    }
-
     CellWindow expect_exact(int x0, int y0, int x1, int y1,
                             const MazeConfig& cfg = {}) {
         SCOPED_TRACE(::testing::Message() << "(" << x0 << "," << y0 << ")->("
@@ -299,14 +302,14 @@ protected:
 
         const RoutePath mz = maze_route(x0, y0, x1, y1, full, cfg);
         const RoutePath mz_local = maze_route(ax, ay, bx, by, local, cfg);
-        expect_same(mz, shifted(mz_local, w.x0, w.y0));
+        expect_same_spans(mz, shifted(mz_local, w.x0, w.y0));
         EXPECT_EQ(path_cost(mz, full), path_cost(mz_local, local));
 
         PatternScratch ps;
         RoutePath pat, pat_local;
         pattern_route_into(x0, y0, x1, y1, full, 12, ps, pat);
         pattern_route_into(ax, ay, bx, by, local, 12, ps, pat_local);
-        expect_same(pat, shifted(pat_local, w.x0, w.y0));
+        expect_same_spans(pat, shifted(pat_local, w.x0, w.y0));
         EXPECT_EQ(path_cost(pat, full), path_cost(pat_local, local));
         return w;
     }
@@ -367,6 +370,179 @@ TEST_F(WindowTranslationTest, WindowsClampedAtEveryEdge) {
     const CellWindow all = expect_exact(1, kNy - 2, kNx - 2, 1);
     EXPECT_TRUE(all.x0 == 0 && all.y0 == 0 && all.x1 == kNx - 1 &&
                 all.y1 == kNy - 1);
+}
+
+/// maze_route answers with the bucket-queue search when it can certify
+/// the binary-heap reference's path and with the reference otherwise
+/// (DESIGN.md §17). Every case compares both searches with the reference
+/// span for span and counts which one answered, so each field shows that
+/// the certified path ran, or that the fallback did.
+class MazeEquivalenceTest : public ::testing::Test {
+protected:
+    int certified_ = 0;
+    int fell_back_ = 0;
+
+    void expect_exact(const GridF& ch, const GridF& cv, double via, int x0,
+                      int y0, int x1, int y1, const MazeConfig& cfg = {}) {
+        SCOPED_TRACE(::testing::Message() << "(" << x0 << "," << y0 << ")->("
+                                          << x1 << "," << y1 << ")");
+        const RouteCostModel m{&ch, &cv, via};
+        const RoutePath ref = maze_detail::heap_route(x0, y0, x1, y1, m, cfg);
+        expect_contiguous(ref, x0, y0, x1, y1);
+        const std::optional<RoutePath> fast =
+            maze_detail::bucket_route(x0, y0, x1, y1, m, cfg);
+        if (fast) {
+            ++certified_;
+            expect_same_spans(*fast, ref);
+        } else {
+            ++fell_back_;
+        }
+        expect_same_spans(maze_route(x0, y0, x1, y1, m, cfg), ref);
+    }
+
+    /// `trials` random endpoint pairs on the fields.
+    void random_pairs(Rng& rng, const GridF& ch, const GridF& cv, double via,
+                      int trials, const MazeConfig& cfg = {}) {
+        for (int t = 0; t < trials; ++t)
+            expect_exact(ch, cv, via, rng.uniform_int(0, ch.width() - 1),
+                         rng.uniform_int(0, ch.height() - 1),
+                         rng.uniform_int(0, ch.width() - 1),
+                         rng.uniform_int(0, ch.height() - 1), cfg);
+    }
+};
+
+TEST_F(MazeEquivalenceTest, RandomCostFields) {
+    Rng rng(101);
+    GridF ch(48, 40), cv(48, 40);
+    MazeConfig narrow;
+    narrow.window_margin = 2;
+    for (int field = 0; field < 8; ++field) {
+        // The router's cell cost 1 + hist + 2 util is above 1.
+        for (auto& v : ch) v = rng.uniform(1.0, 9.0);
+        for (auto& v : cv) v = rng.uniform(1.0, 9.0);
+        random_pairs(rng, ch, cv, 1.0, 10);
+        random_pairs(rng, ch, cv, 1.0, 10, narrow);
+    }
+    EXPECT_EQ(fell_back_, 0);
+}
+
+TEST_F(MazeEquivalenceTest, UniformFieldsWhereTiesAreCommon) {
+    Rng rng(103);
+    GridF ch(32, 32, 1.5), cv(32, 32, 1.5);
+    random_pairs(rng, ch, cv, 1.0, 60);
+    // Three distinct values: ties between unequal paths as well.
+    for (auto& v : ch) v = rng.uniform_int(1, 3);
+    for (auto& v : cv) v = rng.uniform_int(1, 3);
+    random_pairs(rng, ch, cv, 1.0, 60);
+    EXPECT_GT(certified_, 0);
+    EXPECT_GT(fell_back_, 0);
+}
+
+TEST_F(MazeEquivalenceTest, WallWithOneGap) {
+    Rng rng(107);
+    GridF ch(40, 32), cv(40, 32);
+    for (int field = 0; field < 6; ++field) {
+        for (auto& v : ch) v = rng.uniform(1.0, 3.0);
+        for (auto& v : cv) v = rng.uniform(1.0, 3.0);
+        const int wall_x = rng.uniform_int(10, 29);
+        const int gap_y = rng.uniform_int(0, 31);
+        for (int y = 0; y < 32; ++y) {
+            if (y == gap_y) continue;
+            ch.at(wall_x, y) = 40.0;
+            cv.at(wall_x, y) = 40.0;
+        }
+        for (int t = 0; t < 8; ++t)
+            expect_exact(ch, cv, 1.0, rng.uniform_int(0, wall_x - 1),
+                         rng.uniform_int(0, 31),
+                         rng.uniform_int(wall_x + 1, 39),
+                         rng.uniform_int(0, 31));
+    }
+    EXPECT_GT(certified_, 0);
+}
+
+TEST_F(MazeEquivalenceTest, WindowsClampedAtTheGridBorder) {
+    Rng rng(109);
+    GridF ch(24, 20), cv(24, 20);
+    for (auto& v : ch) v = rng.uniform(1.0, 6.0);
+    for (auto& v : cv) v = rng.uniform(1.0, 6.0);
+    // Corner to corner, then edge-hugging pairs whose windows clamp.
+    expect_exact(ch, cv, 1.0, 0, 0, 23, 19);
+    expect_exact(ch, cv, 1.0, 23, 0, 0, 19);
+    for (int t = 0; t < 20; ++t) {
+        expect_exact(ch, cv, 1.0, rng.uniform_int(0, 2),
+                     rng.uniform_int(0, 19), rng.uniform_int(0, 23),
+                     rng.uniform_int(17, 19));
+        expect_exact(ch, cv, 1.0, rng.uniform_int(21, 23),
+                     rng.uniform_int(0, 2), rng.uniform_int(0, 23),
+                     rng.uniform_int(0, 19));
+    }
+    EXPECT_GT(certified_, 0);
+}
+
+TEST_F(MazeEquivalenceTest, OneByNWindows) {
+    Rng rng(113);
+    GridF row_h(30, 1), row_v(30, 1), col_h(1, 30), col_v(1, 30);
+    for (GridF* g : {&row_h, &row_v, &col_h, &col_v})
+        for (auto& v : *g) v = rng.uniform(1.0, 4.0);
+    for (int t = 0; t < 15; ++t) {
+        const int a = rng.uniform_int(0, 29), b = rng.uniform_int(0, 29);
+        expect_exact(row_h, row_v, 1.0, a, 0, b, 0);
+        expect_exact(col_h, col_v, 1.0, 0, a, 0, b);
+    }
+    // Margin 0 cuts a 1 x N window out of a wider grid.
+    GridF ch(30, 30), cv(30, 30);
+    for (auto& v : ch) v = rng.uniform(1.0, 4.0);
+    for (auto& v : cv) v = rng.uniform(1.0, 4.0);
+    MazeConfig zero;
+    zero.window_margin = 0;
+    for (int t = 0; t < 15; ++t) {
+        const int a = rng.uniform_int(0, 29), b = rng.uniform_int(0, 29);
+        const int c = rng.uniform_int(0, 29);
+        expect_exact(ch, cv, 1.0, a, c, b, c, zero);
+        expect_exact(ch, cv, 1.0, c, a, c, b, zero);
+    }
+    EXPECT_GT(certified_, 0);
+}
+
+TEST_F(MazeEquivalenceTest, ZeroViaCost) {
+    Rng rng(127);
+    GridF ch(32, 32), cv(32, 32);
+    for (int field = 0; field < 4; ++field) {
+        for (auto& v : ch) v = rng.uniform(1.0, 5.0);
+        for (auto& v : cv) v = rng.uniform(1.0, 5.0);
+        random_pairs(rng, ch, cv, 0.0, 15);
+    }
+    EXPECT_GT(certified_, 0);
+}
+
+TEST_F(MazeEquivalenceTest, ExtremeCostRatioFallsBack) {
+    // One cell 1e9 times dearer than the rest would need ~2e9 ring buckets.
+    Rng rng(131);
+    GridF ch(24, 24), cv(24, 24);
+    for (auto& v : ch) v = rng.uniform(1.0, 2.0);
+    for (auto& v : cv) v = rng.uniform(1.0, 2.0);
+    ch.at(12, 12) = 1e9;
+    cv.at(12, 12) = 1e9;
+    // Endpoints in [4, 19]: every margin-8 window holds cell (12, 12).
+    for (int t = 0; t < 10; ++t)
+        expect_exact(ch, cv, 1.0, rng.uniform_int(4, 19),
+                     rng.uniform_int(4, 19), rng.uniform_int(4, 19),
+                     rng.uniform_int(4, 19));
+    EXPECT_EQ(certified_, 0);
+    EXPECT_EQ(fell_back_, 10);
+}
+
+TEST_F(MazeEquivalenceTest, NonPositiveOrNonFiniteCostFallsBack) {
+    GridF ch(16, 16, 2.0), cv(16, 16, 2.0);
+    for (const double bad :
+         {0.0, -1.0, std::numeric_limits<double>::infinity()}) {
+        cv.at(5, 5) = bad;
+        const RouteCostModel m{&ch, &cv, 1.0};
+        EXPECT_FALSE(maze_detail::bucket_route(2, 2, 9, 9, m, {}));
+    }
+    cv.at(5, 5) = 2.0;
+    const RouteCostModel negative_via{&ch, &cv, -0.5};
+    EXPECT_FALSE(maze_detail::bucket_route(2, 2, 9, 9, negative_via, {}));
 }
 
 TEST(GlobalRouterTest, MazeFallbackReducesOverflow) {
