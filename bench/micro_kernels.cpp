@@ -261,52 +261,24 @@ void clusterize(Design& d, int cluster_size = 24) {
     }
 }
 
-/// Two placement snapshots of one clusterized design, `moves` cells
-/// apart, with O(cells) switching between them. `local_only` restricts
-/// the moved cells to ones whose nets all stay within `local_extent` of
-/// the die (the regime of the paper's local congestion mitigation: a net
-/// with a die-crossing escape pin invalidates a die-sized region by
-/// construction, in which case an exact incremental update rightly
-/// degenerates to a full one).
+/// Two placement snapshots of one clusterized design, 8 cells apart, with
+/// O(cells) switching between them.
 struct LoopScenario {
     Design d;
     std::vector<Vec2> pos_a, pos_b;
 
-    explicit LoopScenario(int cells, int moves = 8, bool local_only = false,
-                          double local_extent = 0.125)
-        : d(bench_design(cells)) {
+    explicit LoopScenario(int cells) : d(bench_design(cells)) {
         clusterize(d);
         pos_a.resize(d.cells.size());
         for (size_t i = 0; i < d.cells.size(); ++i) pos_a[i] = d.cells[i].pos;
         pos_b = pos_a;
-        std::vector<unsigned char> global_cell(d.cells.size(), 0);
-        if (local_only) {
-            const double mx = local_extent * d.region.width();
-            const double my = local_extent * d.region.height();
-            for (const Net& net : d.nets) {
-                if (net.pins.empty()) continue;
-                Vec2 lo = d.pin_position(net.pins.front());
-                Vec2 hi = lo;
-                for (int p : net.pins) {
-                    const Vec2 pp = d.pin_position(p);
-                    lo = {std::min(lo.x, pp.x), std::min(lo.y, pp.y)};
-                    hi = {std::max(hi.x, pp.x), std::max(hi.y, pp.y)};
-                }
-                if (hi.x - lo.x <= mx && hi.y - lo.y <= my) continue;
-                for (int p : net.pins)
-                    global_cell[static_cast<size_t>(
-                        d.pins[static_cast<size_t>(p)].cell)] = 1;
-            }
-        }
         std::vector<int> movable;
         for (int i = 0; i < d.num_cells(); ++i)
-            if (d.cells[static_cast<size_t>(i)].movable() &&
-                !global_cell[static_cast<size_t>(i)])
-                movable.push_back(i);
+            if (d.cells[static_cast<size_t>(i)].movable()) movable.push_back(i);
         Rng rng(17);
         const double dx = 0.02 * d.region.width();
         const double dy = 0.02 * d.region.height();
-        for (int k = 0; k < moves; ++k) {
+        for (int k = 0; k < 8; ++k) {
             const size_t ci = static_cast<size_t>(movable[static_cast<size_t>(
                 rng.uniform_int(0, static_cast<int>(movable.size()) - 1))]);
             pos_b[ci] = {std::clamp(pos_a[ci].x + rng.uniform(-dx, dx),
@@ -398,7 +370,7 @@ BENCHMARK(BM_RoutabilityLoopRouteIncremental)
 
 void BM_RudyCongestionFull(benchmark::State& state) {
     AuditOffGuard audits;
-    LoopScenario sc(static_cast<int>(state.range(0)), 8, true);
+    LoopScenario sc(static_cast<int>(state.range(0)));
     const BinGrid grid(sc.d.region, 64, 64);
     bool flip = false;
     for (auto _ : state) {
@@ -409,29 +381,6 @@ void BM_RudyCongestionFull(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_RudyCongestionFull)->Arg(4000)->Arg(16000);
-
-void BM_RudyCongestionIncremental(benchmark::State& state) {
-    AuditOffGuard audits;
-    LoopScenario sc(static_cast<int>(state.range(0)), 8, true);
-    const BinGrid grid(sc.d.region, 64, 64);
-    IncrementalRudyState inc;
-    sc.apply(false);
-    (void)rudy_congestion(sc.d, grid, {}, {}, &inc);  // warm
-    const IncrementalRudyStats warm = inc.stats;
-    bool flip = true;
-    for (auto _ : state) {
-        sc.apply(flip);
-        flip = !flip;
-        auto cmap = rudy_congestion(sc.d, grid, {}, {}, &inc);
-        benchmark::DoNotOptimize(cmap.demand().data());
-    }
-    const long long calls = inc.stats.calls - warm.calls;
-    const long long bins = inc.stats.bins_recomputed - warm.bins_recomputed;
-    state.counters["bins_recomputed_per_iter"] =
-        calls > 0 ? static_cast<double>(bins) / static_cast<double>(calls)
-                  : 0.0;
-}
-BENCHMARK(BM_RudyCongestionIncremental)->Arg(4000)->Arg(16000);
 
 // --- Thread-scaling benchmarks -------------------------------------------
 // The parallel execution layer guarantees bitwise-identical results for any

@@ -10,6 +10,10 @@
 //                         [--checkpoint-dir=PATH] [--checkpoint-every=N]
 //                         [--resume[=auto|PATH]] [--wl-iters=N]
 //                         [--route-iters=N] [--inner-iters=N] [--no-eval]
+//                         [--rudy]
+//
+// --rudy estimates congestion in the placement loop with RUDY + PinRUDY
+// instead of the global router (PlacerConfig::use_rudy_congestion).
 //
 // --checkpoint-dir enables the durable checkpoint journal (DESIGN.md §16)
 // and --resume continues a killed run from it; the resumed run finishes
@@ -46,7 +50,7 @@ constexpr const char* kUsage =
     "       [--seed=N] [--no-mci] [--no-dc] [--no-dpa] [--multi-pin-moving]\n"
     "       [--budget-ms=N] [--no-recover] [--checkpoint-dir=PATH]\n"
     "       [--checkpoint-every=N] [--resume[=auto|PATH]] [--wl-iters=N]\n"
-    "       [--route-iters=N] [--inner-iters=N] [--no-eval]\n";
+    "       [--route-iters=N] [--inner-iters=N] [--no-eval] [--rudy]\n";
 
 /// Value of `--name=<integer>` when `arg` is that flag and the integer lies
 /// in [lo, hi]; nullopt for a malformed or out-of-range value.
@@ -114,6 +118,8 @@ int main(int argc, char** argv) {
             cfg.enable_dc = false;
         } else if (arg == "--no-dpa") {
             cfg.enable_dpa = false;
+        } else if (arg == "--rudy") {
+            cfg.use_rudy_congestion = true;
         } else if (arg == "--multi-pin-moving") {
             cfg.netmove.move_multi_pin_edges = true;  // paper extension
         } else if (arg.rfind("--budget-ms=", 0) == 0) {

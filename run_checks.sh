@@ -20,13 +20,13 @@
 #                        thread                                -> ctest -L parallel
 #                        plus explicit ASan+UBSan passes: ctest -L recover
 #                        (fault injection), ctest -L router (persistent
-#                        route/RUDY caches, maze search equivalence),
+#                        route cache, maze search equivalence),
 #                        ctest -L poisson (spectral
 #                        kernels), ctest -L
 #                        simd (vector backends / stable_exp / kernel
 #                        equivalence), and ctest -L persist (durable
 #                        checkpoint format + crash/resume kill-point
-#                        matrix, DESIGN.md §16)
+#                        matrix, router and RUDY congestion, DESIGN.md §16)
 #                        The default build also runs ctest -L golden
 #                        (pinned end-to-end output digests) and ctest -L
 #                        bench (bench_e2e smoke: the traced link against
@@ -231,8 +231,8 @@ if [[ "$FAST" == 0 ]]; then
         fi
     fi
 
-    # Routing under ASan+UBSan: the persistent route/RUDY caches (rip-up/
-    # commit deltas, dirty-bin recompute) and the maze search's padded
+    # Routing under ASan+UBSan: the persistent route cache (rip-up/commit
+    # deltas, capacity-dirty invalidation) and the maze search's padded
     # window and bucket ring must be memory- and UB-clean.
     note "incremental routing under ASan+UBSan (ctest -L router)"
     if require_label build-san-address-undefined router; then

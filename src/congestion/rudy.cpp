@@ -1,7 +1,6 @@
 #include "congestion/rudy.hpp"
 
-#include <algorithm>
-#include <cstring>
+#include <utility>
 
 #include "grid/splat_kernel.hpp"
 #include "util/simd.hpp"
@@ -9,218 +8,24 @@
 
 namespace rdp {
 
-namespace {
-
-// FNV-1a over 64-bit words (same scheme as the router's cache keys).
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-
-std::uint64_t hash_mix(std::uint64_t h, std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-    return h;
-}
-
-std::uint64_t hash_double(std::uint64_t h, double v) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    return hash_mix(h, bits);
-}
-
-/// Cache identity: netlist structure, grid geometry, and the RUDY knobs.
-/// Per-net weight / bbox / density changes are diffed value-wise instead.
-std::uint64_t rudy_key(const Design& d, const BinGrid& grid,
-                       const RudyConfig& cfg) {
-    std::uint64_t h = kFnvOffset;
-    h = hash_mix(h, static_cast<std::uint64_t>(d.num_pins()));
-    h = hash_mix(h, static_cast<std::uint64_t>(d.nets.size()));
-    for (const Net& n : d.nets)
-        h = hash_mix(h, static_cast<std::uint64_t>(n.pins.size()));
-    h = hash_mix(h, static_cast<std::uint64_t>(grid.nx()));
-    h = hash_mix(h, static_cast<std::uint64_t>(grid.ny()));
-    h = hash_double(h, grid.region().lx);
-    h = hash_double(h, grid.region().ly);
-    h = hash_double(h, grid.region().hx);
-    h = hash_double(h, grid.region().hy);
-    h = hash_double(h, cfg.pin_weight);
-    h = hash_mix(h, static_cast<std::uint64_t>(cfg.max_degree));
-    return h;
-}
-
-/// This call's effective bounding box (degenerate boxes expanded to one
-/// G-cell of extent) and track-unit density of `net` — the per-net values
-/// whose change invalidates the bins the net touches.
-void net_bb_density(const Design& d, const BinGrid& grid, const Net& net,
-                    Rect& bb, double& density) {
-    bb = net_bbox(d, net);
-    if (bb.width() < grid.bin_w())
-        bb = Rect::from_center(bb.center(), grid.bin_w(), bb.height());
-    if (bb.height() < grid.bin_h())
-        bb = Rect::from_center(bb.center(), bb.width(), grid.bin_h());
-    const double mean_extent = 0.5 * (grid.bin_w() + grid.bin_h());
-    const double wl = bb.width() + bb.height();
-    const double area = bb.area();
-    density = area > 0.0 ? net.weight * wl / (area * mean_extent) : 0.0;
-}
-
-/// Reconcile `S` with the current placement: recompute only the demand of
-/// bins whose contributing nets or pins changed. A zeroed dirty bin is
-/// re-accumulated over all overlapping nets in ascending net order — the
-/// summation order of the full rebuild — so the maintained maps stay
-/// bitwise identical to rudy_map / pin_rudy_map built from scratch.
-void rudy_maps_impl(const Design& d, const BinGrid& grid,
-                    const RudyConfig& cfg, IncrementalRudyState& S) {
-    const int nx = grid.nx(), ny = grid.ny();
-    const size_t num_nets = d.nets.size();
-    const size_t num_pins = static_cast<size_t>(d.num_pins());
-    const size_t num_bins = static_cast<size_t>(nx) * ny;
-
-    ++S.stats.calls;
-    const std::uint64_t key = rudy_key(d, grid, cfg);
-    const bool fresh = !S.valid || S.key != key;
-
-    if (fresh) {
-        ++S.stats.full_rebuilds;
-        S.net_skip.resize(num_nets);
-        S.net_bb.resize(num_nets);
-        S.net_density.resize(num_nets);
-        S.pin_bin.resize(num_pins);
-        S.wire = grid.make_grid();
-        S.pins = grid.make_grid();
-        for (size_t ni = 0; ni < num_nets; ++ni) {
-            const Net& net = d.nets[ni];
-            S.net_skip[ni] =
-                net.degree() < 2 || net.degree() > cfg.max_degree ? 1 : 0;
-            if (S.net_skip[ni]) {
-                S.net_bb[ni] = Rect{};
-                S.net_density[ni] = 0.0;
-                continue;
-            }
-            net_bb_density(d, grid, net, S.net_bb[ni], S.net_density[ni]);
-            // Row-vectorized per-bin accumulation. IEEE multiplication is
-            // commutative bit for bit, so density*a from the scalar dirty
-            // path below equals the kernel's a*density exactly — the
-            // incremental-vs-fresh bitwise invariant is preserved.
-            splat_rect<simd::VecD>(grid, S.wire, S.net_bb[ni],
-                                   S.net_density[ni]);
-            ++S.stats.nets_rescanned;
-        }
-        for (size_t p = 0; p < num_pins; ++p) {
-            const GridIndex g = grid.index_of(d.pin_position(static_cast<int>(p)));
-            S.pin_bin[p] = g.iy * nx + g.ix;
-            S.pins.at(g.ix, g.iy) += cfg.pin_weight;
-        }
-        S.stats.bins_recomputed += static_cast<long long>(num_bins);
-        S.valid = true;
-        S.key = key;
-        return;
-    }
-
-    // ---- Wire map: diff per-net (bb, density), mark touched bins dirty.
-    S.dirty_wire.assign(num_bins, 0);
-    auto mark = [&](const Rect& bb) {
-        grid.for_each_overlap(bb, [&](int ix, int iy, double) {
-            S.dirty_wire[static_cast<size_t>(iy) * nx + ix] = 1;
-        });
-    };
-    bool any_wire_dirty = false;
-    for (size_t ni = 0; ni < num_nets; ++ni) {
-        if (S.net_skip[ni]) continue;  // degree is structural (keyed)
-        Rect bb;
-        double density = 0.0;
-        net_bb_density(d, grid, d.nets[ni], bb, density);
-        if (bb == S.net_bb[ni] && density == S.net_density[ni]) continue;
-        mark(S.net_bb[ni]);  // old contribution region
-        mark(bb);            // new contribution region
-        S.net_bb[ni] = bb;
-        S.net_density[ni] = density;
-        any_wire_dirty = true;
-    }
-    if (any_wire_dirty) {
-        // Zero the dirty bins, then re-add every overlapping net's
-        // contribution in ascending net order. The summed-area table over
-        // the dirty mask makes the per-net "touches anything dirty?" test
-        // O(1), so unchanged far-away nets are skipped outright.
-        long long dirty_count = 0;
-        for (size_t b = 0; b < num_bins; ++b) {
-            if (!S.dirty_wire[b]) continue;
-            S.wire.data()[b] = 0.0;
-            ++dirty_count;
-        }
-        S.stats.bins_recomputed += dirty_count;
-        const int W = nx + 1;
-        S.dirty_sat.assign(static_cast<size_t>(W) * (ny + 1), 0);
-        for (int y = 0; y < ny; ++y) {
-            for (int x = 0; x < nx; ++x) {
-                S.dirty_sat[static_cast<size_t>(y + 1) * W + (x + 1)] =
-                    static_cast<int>(
-                        S.dirty_wire[static_cast<size_t>(y) * nx + x]) +
-                    S.dirty_sat[static_cast<size_t>(y) * W + (x + 1)] +
-                    S.dirty_sat[static_cast<size_t>(y + 1) * W + x] -
-                    S.dirty_sat[static_cast<size_t>(y) * W + x];
-            }
-        }
-        auto span_has_dirty = [&](int x0, int y0, int x1, int y1) {
-            return S.dirty_sat[static_cast<size_t>(y1 + 1) * W + (x1 + 1)] -
-                       S.dirty_sat[static_cast<size_t>(y0) * W + (x1 + 1)] -
-                       S.dirty_sat[static_cast<size_t>(y1 + 1) * W + x0] +
-                       S.dirty_sat[static_cast<size_t>(y0) * W + x0] >
-                   0;
-        };
-        for (size_t ni = 0; ni < num_nets; ++ni) {
-            if (S.net_skip[ni]) continue;
-            int x0 = 0, y0 = 0, x1 = 0, y1 = 0;
-            if (!grid.bin_span(S.net_bb[ni], x0, y0, x1, y1)) continue;
-            if (!span_has_dirty(x0, y0, x1, y1)) continue;
-            // Walk only the dirty bins of the span (clean rows skipped via
-            // the SAT): a net whose box covers half the die but overlaps
-            // three dirty bins pays for three bins, not for its box. The
-            // overlap area is the same `r.intersect(region)`-vs-bin_box
-            // expression for_each_overlap evaluates, so the accumulated
-            // values match the fresh path's bit for bit.
-            const double density = S.net_density[ni];
-            const Rect c = S.net_bb[ni].intersect(grid.region());
-            for (int iy = y0; iy <= y1; ++iy) {
-                if (!span_has_dirty(x0, iy, x1, iy)) continue;
-                for (int ix = x0; ix <= x1; ++ix) {
-                    if (!S.dirty_wire[static_cast<size_t>(iy) * nx + ix])
-                        continue;
-                    const double a = c.overlap_area(grid.bin_box(ix, iy));
-                    if (a > 0.0) S.wire.at(ix, iy) += density * a;
-                }
-            }
-            ++S.stats.nets_rescanned;
-        }
-    }
-
-    // ---- Pin map: diff per-pin bins, re-sum dirty bins in pin order.
-    S.dirty_pin.assign(num_bins, 0);
-    bool any_pin_dirty = false;
-    for (size_t p = 0; p < num_pins; ++p) {
-        const GridIndex g = grid.index_of(d.pin_position(static_cast<int>(p)));
-        const int nb = g.iy * nx + g.ix;
-        if (nb == S.pin_bin[p]) continue;
-        S.dirty_pin[static_cast<size_t>(S.pin_bin[p])] = 1;
-        S.dirty_pin[static_cast<size_t>(nb)] = 1;
-        S.pin_bin[p] = nb;
-        any_pin_dirty = true;
-    }
-    if (any_pin_dirty) {
-        for (size_t b = 0; b < num_bins; ++b)
-            if (S.dirty_pin[b]) S.pins.data()[b] = 0.0;
-        for (size_t p = 0; p < num_pins; ++p) {
-            const size_t b = static_cast<size_t>(S.pin_bin[p]);
-            if (S.dirty_pin[b]) S.pins.data()[b] += cfg.pin_weight;
-        }
-    }
-}
-
-}  // namespace
-
 GridF rudy_map(const Design& d, const BinGrid& grid, const RudyConfig& cfg) {
-    IncrementalRudyState tmp;
-    rudy_maps_impl(d, grid, cfg, tmp);
-    return std::move(tmp.wire);
+    GridF out = grid.make_grid();
+    const double mean_extent = 0.5 * (grid.bin_w() + grid.bin_h());
+    for (const Net& net : d.nets) {
+        if (net.degree() < 2 || net.degree() > cfg.max_degree) continue;
+        // Degenerate boxes are expanded to one G-cell of extent.
+        Rect bb = net_bbox(d, net);
+        if (bb.width() < grid.bin_w())
+            bb = Rect::from_center(bb.center(), grid.bin_w(), bb.height());
+        if (bb.height() < grid.bin_h())
+            bb = Rect::from_center(bb.center(), bb.width(), grid.bin_h());
+        const double wl = bb.width() + bb.height();
+        const double area = bb.area();
+        const double density =
+            area > 0.0 ? net.weight * wl / (area * mean_extent) : 0.0;
+        splat_rect<simd::VecD>(grid, out, bb, density);
+    }
+    return out;
 }
 
 GridF pin_rudy_map(const Design& d, const BinGrid& grid,
@@ -236,12 +41,9 @@ GridF pin_rudy_map(const Design& d, const BinGrid& grid,
 CongestionMap rudy_congestion(const Design& d, const BinGrid& grid,
                               const RouterConfig& router_cfg,
                               const RudyConfig& cfg,
-                              IncrementalRudyState* state) {
-    IncrementalRudyState tmp;
-    IncrementalRudyState& S = state != nullptr ? *state : tmp;
-    rudy_maps_impl(d, grid, cfg, S);
-    GridF dmd = S.wire;
-    grid_add(dmd, S.pins);
+                              IncrementalRudyState* /*unused*/) {
+    GridF dmd = rudy_map(d, grid, cfg);
+    grid_add(dmd, pin_rudy_map(d, grid, cfg));
 
     const GlobalRouter router(grid, router_cfg);
     GridF cap_h, cap_v;

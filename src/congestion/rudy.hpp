@@ -10,9 +10,6 @@
 // bounding box; PinRUDY adds pin-count pressure. Demands are scaled to the
 // router's track units so the same CongestionMap/Eq. (3) machinery applies.
 
-#include <cstdint>
-#include <vector>
-
 #include "db/design.hpp"
 #include "grid/bin_grid.hpp"
 #include "grid/congestion_map.hpp"
@@ -27,46 +24,9 @@ struct RudyConfig {
     int max_degree = 64;
 };
 
-/// Lifetime counters of one IncrementalRudyState (monotone).
-struct IncrementalRudyStats {
-    long long calls = 0;
-    long long full_rebuilds = 0;
-    long long nets_rescanned = 0;   ///< nets re-accumulated over dirty bins
-    long long bins_recomputed = 0;  ///< wire-map bins zeroed + re-summed
-};
-
-/// Persistent cross-call RUDY state: cached per-net effective bounding
-/// boxes / densities, per-pin bins, and the accumulated wire / pin demand
-/// maps, maintained by dirty-bin rectangle updates (DESIGN.md §12).
-///
-/// Bitwise identity with the from-scratch maps is preserved by *not*
-/// applying float deltas: a bin whose contributing set changed is zeroed
-/// and every overlapping net's contribution is re-added in ascending net
-/// order — the exact summation order of the full rebuild. Bins whose
-/// contributing nets are all unchanged keep their value, which is the
-/// same ordered sum.
-struct IncrementalRudyState {
-    bool valid = false;
-    std::uint64_t key = 0;  ///< netlist structure + grid + config hash
-
-    std::vector<unsigned char> net_skip;  ///< degree out of [2, max_degree]
-    std::vector<Rect> net_bb;             ///< effective (expanded) net bbox
-    std::vector<double> net_density;      ///< track-unit density over net_bb
-    std::vector<int> pin_bin;             ///< per pin: iy * nx + ix
-
-    GridF wire;  ///< accumulated rudy_map
-    GridF pins;  ///< accumulated pin_rudy_map
-
-    IncrementalRudyStats stats;
-
-    // Reusable per-call buffers.
-    std::vector<unsigned char> dirty_wire, dirty_pin;
-    std::vector<int> dirty_sat;
-
-    /// Drop the cached maps; the next call rebuilds from scratch (stats
-    /// survive). Called by the recovery layer on placement rollback.
-    void invalidate() { valid = false; }
-};
+/// Declared only so rudy_congestion keeps its signature (see below); RUDY
+/// keeps no state between calls.
+struct IncrementalRudyState;
 
 /// Classic RUDY: expected wirelength per bin, in track units
 /// (wirelength-in-bin / mean G-cell extent).
@@ -78,13 +38,15 @@ GridF pin_rudy_map(const Design& d, const BinGrid& grid,
 
 /// Full congestion map with RUDY + PinRUDY demand and the router's
 /// capacity model (so Eq. (3) values are directly comparable with
-/// router-based maps). A non-null `state` enables dirty-bin incremental
-/// demand updates across calls; the result is bitwise identical to the
-/// stateless call (the stateless call runs the same implementation
-/// against a short-lived empty state).
+/// router-based maps), built from scratch on every call.
+///
+/// The last parameter is unused. The end-to-end benchmark's traced build
+/// wraps this function by its mangled name, which includes that
+/// parameter; it is removed once the in-source run trace (ROADMAP item 3)
+/// retires the link-time wrap.
 CongestionMap rudy_congestion(const Design& d, const BinGrid& grid,
                               const RouterConfig& router_cfg = {},
                               const RudyConfig& cfg = {},
-                              IncrementalRudyState* state = nullptr);
+                              IncrementalRudyState* unused = nullptr);
 
 }  // namespace rdp

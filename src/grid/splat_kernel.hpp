@@ -15,9 +15,9 @@
 //
 // Templated on the SIMD vector type: production instantiates simd::VecD,
 // tests/benches also instantiate simd::ScalarVecD and compare bitwise.
-// These kernels never use fused ops (even under RDP_SIMD_FMA) so the
-// incremental RUDY scalar dirty-bin path stays bitwise-equal to the
-// vectorized fresh rebuild.
+// These kernels never use fused ops (even under RDP_SIMD_FMA), so every
+// backend deposits the scalar loop's bits and the density and RUDY maps
+// are identical across backends and builds.
 
 #include <algorithm>
 

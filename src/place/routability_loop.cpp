@@ -157,11 +157,10 @@ private:
     const BinGrid& grid_;
     recover::StageGuard guard_;
     recover::DivergenceChecks checks_;
-    /// Incremental congestion estimation (DESIGN.md §12): persistent
-    /// router / RUDY caches threaded through every estimation of this
-    /// stage, bitwise identical to from-scratch estimation.
+    /// Incremental congestion estimation (DESIGN.md §12): a persistent
+    /// router cache threaded through every estimation of this stage,
+    /// bitwise identical to from-scratch estimation. RUDY keeps no cache.
     IncrementalRouteState inc_route_;
-    IncrementalRudyState inc_rudy_;
     std::unique_ptr<GlobalRouter> router_;
     CongestionField field_;
     std::unique_ptr<InflationScheme> scheme_;
@@ -208,8 +207,8 @@ void RoutabilityStage::run(const recover::PipelineSnapshot* resume) {
     } else {
         // Durable resume (DESIGN.md §16): the snapshot is the whole loop
         // state. Push its object-owned parts back, then drop the
-        // incremental caches exactly as a recovery rollback does (they
-        // reconcile against positions this process never routed). The
+        // incremental cache exactly as a recovery rollback does (it
+        // reconciles against positions this process never routed). The
         // remaining iterations are then bitwise identical to the
         // uninterrupted run.
         st_ = *resume;
@@ -220,7 +219,6 @@ void RoutabilityStage::run(const recover::PipelineSnapshot* resume) {
         obj_.set_gamma(st_.cur.gamma);
         stats_.outer_iters = st_.iter;
         inc_route_.invalidate();
-        inc_rudy_.invalidate();
         RDP_LOG_INFO() << "resumed " << kStage << " at outer iteration "
                        << st_.iter;
     }
@@ -283,7 +281,7 @@ bool RoutabilityStage::iterate() {
         st_.use_ckpt_cmap = false;
         cmap_ = CongestionMap(grid_, st_.cmap_demand, st_.cmap_capacity);
     } else if (cfg_.use_rudy_congestion) {
-        cmap_ = rudy_congestion(d_, grid_, cfg_.router, {}, &inc_rudy_);
+        cmap_ = rudy_congestion(d_, grid_, cfg_.router);
     } else {
         const RouteResult rr = router_->route(d_, &inc_route_);
         cmap_ = rr.congestion;
@@ -529,11 +527,10 @@ bool RoutabilityStage::recover(recover::FaultKind kind, const char* what) {
             break;
         }
         case FaultKind::CorruptedDemand: {
-            // The corruption may live in the persistent incremental caches
+            // The corruption may live in the persistent incremental cache
             // (that is exactly what the incremental-route auditor detects),
-            // so the retry must never reuse them.
+            // so the retry must never reuse it.
             inc_route_.invalidate();
-            inc_rudy_.invalidate();
             // First retry re-routes (transient corruption); further ones
             // fall back to the last-good map.
             if (guard_.retries_used() > 1 && st_.cmap_demand.width() > 0) {
@@ -560,11 +557,10 @@ bool RoutabilityStage::recover(recover::FaultKind kind, const char* what) {
         default: {
             // GradientNaN / HpwlExplosion / OverflowOscillation /
             // AuditViolation: roll back and damp the schedule that drove
-            // the divergence. The incremental caches were reconciled
+            // the divergence. The incremental cache was reconciled
             // against the *failed* positions; a restored rollback point
-            // must never be scored against them.
+            // must never be scored against it.
             inc_route_.invalidate();
-            inc_rudy_.invalidate();
             if (ckpt_.valid()) {
                 // Rollback: positions, lambda_1, ratios, inflation history.
                 st_.cur.pos = ckpt_.at.pos;
@@ -609,8 +605,7 @@ void RoutabilityStage::finish() {
     // consumers never see a mixed state.
     const double severe =
         cfg_.use_rudy_congestion
-            ? rudy_congestion(d_, grid_, cfg_.router, {}, &inc_rudy_)
-                  .weighted_overflow()
+            ? rudy_congestion(d_, grid_, cfg_.router).weighted_overflow()
             : router_->route(d_, &inc_route_).congestion.weighted_overflow();
     if (severe < st_.best.overflow * (1.0 - cfg_.keep_best_margin))
         keep_best(severe, stats_.outer_iters);

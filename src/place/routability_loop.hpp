@@ -45,8 +45,8 @@ struct RoutabilityStats {
 /// `durable` (optional) journals a PipelineSnapshot at every outer
 /// iteration boundary; `resume` (optional, stage == kStageRoutability)
 /// restarts the loop from such a snapshot — positions, inflation, maps,
-/// router relaxations, and best-so-far state all restored, incremental
-/// route/RUDY caches invalidated exactly as on recovery rollbacks — and
+/// router relaxations, and best-so-far state all restored, the incremental
+/// route cache invalidated exactly as on recovery rollbacks — and
 /// continues to a bitwise-identical final placement (DESIGN.md §16).
 RoutabilityStats run_routability_stage(
     Design& d, const std::vector<int>& movable, PlacementObjective& obj,

@@ -7,7 +7,8 @@
 // hpwl_final, route_best_iter, and the recovery event sequence (stage,
 // kind, action, iteration) — clean runs of two small designs in all three
 // PlacerModes, one run per Table II toggle (no MCI / DC / DPA) and per
-// alternative congestion model (RUDY source, bounding-box DC penalty), plus
+// alternative congestion model (RUDY source, bounding-box DC penalty), the
+// RUDY source on the second design and through a routability rollback, plus
 // one run per injected fault the recovery suite uses.
 // A second digest per run pins the evaluation routing of the final
 // placement (evaluate_placement's DRWL, #vias and #DRVs at twice the
@@ -195,6 +196,31 @@ TEST_F(GoldenTest, AblationTogglesAndCongestionModels) {
         PlacerConfig cfg = short_cfg(PlacerMode::Ours);
         r.apply(cfg);
         expect_digest(r.name, design_a(), cfg, r.golden, r.eval_golden);
+    }
+}
+
+TEST_F(GoldenTest, RudyCongestionSource) {
+    // The RUDY source on the second design, and a RUDY run whose
+    // routability stage rolls back after an injected NaN gradient, so the
+    // map is rebuilt from the restored placement.
+    const FaultSpec nan_fault{"routability-gp", FaultKind::GradientNaN, 1, 1};
+    struct Run {
+        const char* name;
+        GeneratorConfig gen;
+        const FaultSpec* fault;
+        uint64_t golden;
+        uint64_t eval_golden;
+    };
+    const Run runs[] = {
+        {"b/rudy-congestion", design_b(), nullptr, 0xc0551777ff180340ull,
+         0xa47530360125b221ull},
+        {"a/rudy-congestion+routability-gp:gradient-nan", design_a(),
+         &nan_fault, 0x0603613187f5072dull, 0x8ca68fd6b1ad7708ull},
+    };
+    for (const Run& r : runs) {
+        PlacerConfig cfg = short_cfg(PlacerMode::Ours);
+        cfg.use_rudy_congestion = true;
+        expect_digest(r.name, r.gen, cfg, r.golden, r.eval_golden, r.fault);
     }
 }
 

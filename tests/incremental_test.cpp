@@ -1,17 +1,15 @@
-// Equivalence property tests of the incremental congestion-estimation
-// state (router/incremental.hpp, congestion/rudy.hpp): under random
-// perturbation sequences — move cells, roll positions back, resize the
-// grid, change the router config — a route/RUDY call through a persistent
-// state must be bitwise identical to a from-scratch call, at every thread
-// count, while actually reusing the cache; and a corrupted cache must trip
-// the incremental-route auditor.
+// Equivalence property tests of the incremental routing state
+// (router/incremental.hpp): under random perturbation sequences — move
+// cells, roll positions back, resize the grid, change the router config —
+// a route call through a persistent state must be bitwise identical to a
+// from-scratch call, at every thread count, while actually reusing the
+// cache; and a corrupted cache must trip the incremental-route auditor.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "benchgen/generator.hpp"
-#include "congestion/rudy.hpp"
 #include "router/global_router.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
@@ -203,56 +201,6 @@ TEST(IncrementalRouteTest, CorruptedCacheTripsIncrementalRouteAuditor) {
     }
     state.invalidate();
     EXPECT_NO_THROW((void)router.route(d, &state));
-}
-
-TEST(IncrementalRudyTest, MatchesFullRudyAcrossPerturbations) {
-    Design d = small_design();
-    const BinGrid grid(d.region, 32, 32);
-    IncrementalRudyState state;
-
-    Rng rng(77);
-    for (int step = 0; step < 6; ++step) {
-        if (step > 0) perturb(d, rng, 8, 0.05);
-        const CongestionMap inc =
-            rudy_congestion(d, grid, {}, {}, &state);
-        const CongestionMap full = rudy_congestion(d, grid, {}, {});
-        EXPECT_TRUE(inc.demand() == full.demand());
-        EXPECT_TRUE(inc.capacity() == full.capacity());
-        // The maintained wire map must equal rudy_map from scratch too.
-        EXPECT_TRUE(state.wire == rudy_map(d, grid, {}));
-        EXPECT_TRUE(state.pins == pin_rudy_map(d, grid, {}));
-    }
-    EXPECT_EQ(state.stats.full_rebuilds, 1);
-    // The dirty-bin path must have skipped most of the grid.
-    EXPECT_LT(state.stats.bins_recomputed,
-              state.stats.calls * static_cast<long long>(32 * 32));
-}
-
-TEST(IncrementalRudyTest, GridChangeRebuildsAndRollbackStaysConsistent) {
-    Design d = small_design();
-    IncrementalRudyState state;
-    const BinGrid grid32(d.region, 32, 32);
-    const BinGrid grid48(d.region, 48, 48);
-
-    std::vector<Vec2> saved(d.cells.size());
-    for (size_t i = 0; i < d.cells.size(); ++i) saved[i] = d.cells[i].pos;
-
-    (void)rudy_congestion(d, grid32, {}, {}, &state);
-    Rng rng(91);
-    perturb(d, rng, 15, 0.1);
-    (void)rudy_congestion(d, grid32, {}, {}, &state);
-
-    // Grid resize: key mismatch -> rebuild against the new geometry.
-    const CongestionMap on48 = rudy_congestion(d, grid48, {}, {}, &state);
-    EXPECT_TRUE(on48.demand() == rudy_congestion(d, grid48).demand());
-    EXPECT_EQ(state.stats.full_rebuilds, 2);
-
-    // Roll positions back and return to the old grid: rebuild again,
-    // bitwise equal to scratch.
-    for (size_t i = 0; i < d.cells.size(); ++i) d.cells[i].pos = saved[i];
-    const CongestionMap back = rudy_congestion(d, grid32, {}, {}, &state);
-    EXPECT_TRUE(back.demand() == rudy_congestion(d, grid32).demand());
-    EXPECT_TRUE(state.wire == rudy_map(d, grid32, {}));
 }
 
 }  // namespace

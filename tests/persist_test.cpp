@@ -525,19 +525,23 @@ protected:
     /// uninterrupted reference byte for byte. A non-empty `fault` arms that
     /// RDP_FAULT spec in the killed, the resumed, and a fresh uninterrupted
     /// reference run, so the resume starts from recovery-adjusted state.
+    /// Non-empty `run_flags` (e.g. "--rudy") are passed to all three runs
+    /// and must change the placement.
     void crash_and_resume(const std::string& site,
-                          const std::string& fault = "") {
-        const std::string label = site + (fault.empty() ? "" : " " + fault);
-        const std::string ckpt = fresh_dir("e2e_" + site + fault);
+                          const std::string& fault = "",
+                          const std::string& run_flags = "") {
+        const std::string label = site + (fault.empty() ? "" : " " + fault) +
+                                  (run_flags.empty() ? "" : " " + run_flags);
+        const std::string ckpt = fresh_dir("e2e_" + site + fault + run_flags);
         const std::string out = ckpt + "/out.txt";
-        const std::string flags =
-            "--checkpoint-dir='" + ckpt + "' --checkpoint-every=10";
+        const std::string flags = run_flags + " --checkpoint-dir='" + ckpt +
+                                  "' --checkpoint-every=10";
         const std::string fault_env =
             fault.empty() ? "" : "RDP_FAULT='" + fault + "' ";
         std::string ref = ref_path();
-        if (!fault.empty()) {
+        if (!fault.empty() || !run_flags.empty()) {
             ref = ckpt + "/ref.txt";
-            ASSERT_EQ(run_child(fault_env, ref, ""), 0)
+            ASSERT_EQ(run_child(fault_env, ref, run_flags), 0)
                 << label << " reference run failed:\n"
                 << child_log();
         }
@@ -558,6 +562,10 @@ protected:
         EXPECT_TRUE(read_bytes(out) == read_bytes(ref))
             << label << ": resumed placement differs from the "
             << "uninterrupted run";
+        if (!run_flags.empty()) {
+            EXPECT_FALSE(read_bytes(ref) == read_bytes(ref_path()))
+                << label << ": the flags did not change the placement";
+        }
     }
 
     static std::string* dir_;
@@ -612,6 +620,16 @@ TEST_F(PersistEndToEnd, ResumesAfterRoutabilityRollbackBitwise) {
 
 TEST_F(PersistEndToEnd, ResumesAfterRouterRelaxationBitwise) {
     crash_and_resume("route-mid:4", "routability-gp:router-no-progress:0");
+}
+
+// RUDY congestion in the loop: the map is rebuilt from the restored
+// placement on resume and after a rollback.
+TEST_F(PersistEndToEnd, KilledMidRoutabilityStageWithRudyResumesBitwise) {
+    crash_and_resume("route-mid:2", "", "--rudy");
+}
+
+TEST_F(PersistEndToEnd, ResumesAfterRoutabilityRollbackWithRudyBitwise) {
+    crash_and_resume("route-mid:4", "routability-gp:gradient-nan:1", "--rudy");
 }
 
 TEST_F(PersistEndToEnd, ResumesAfterWirelengthRollbackBitwise) {
