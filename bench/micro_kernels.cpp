@@ -17,7 +17,6 @@
 #include "fft/fft.hpp"
 #include "poisson/poisson.hpp"
 #include "router/global_router.hpp"
-#include "router/incremental.hpp"
 #include "router/net_decompose.hpp"
 #include "grid/splat_kernel.hpp"
 #include "util/check.hpp"
@@ -213,26 +212,18 @@ void BM_NetMovingGradient(benchmark::State& state) {
 }
 BENCHMARK(BM_NetMovingGradient)->Arg(1000)->Arg(4000);
 
-// --- Incremental congestion-estimation benchmarks ------------------------
-// Full-vs-incremental pairs emulating the routability loop's converged
-// tail, where the incremental cache earns its keep: most outer iterations
-// late in the loop move only a handful of cells (early iterations change
-// everything and are full rebuilds in either mode, so they measure the
-// same code). The generator scatters cells uniformly, which no mid-loop
+// --- Congestion-map benchmark --------------------------------------------
+// RUDY on a placement that looks like the routability loop's converged
+// tail. The generator scatters cells uniformly, which no mid-loop
 // placement looks like, so the scenario first pulls each connectivity
-// cluster together geometrically — the state a wirelength-driven
-// placement has long reached by the time the outer loop converges. Two
-// placement snapshots a handful of cells apart are then alternated every
-// iteration, so each call sees a fresh "moved since last time" delta and
-// the perturbed nets flip back and forth. Audits are disabled for both
-// sides of each pair: the incremental-route reconciliation auditor
-// recomputes demand from scratch on every call, which would measure the
-// audit, not the cache.
+// cluster together geometrically; two placement snapshots a handful of
+// cells apart are then alternated every iteration. Audits are disabled so
+// that the benchmark measures the map, not the auditors.
 
 /// Pull the generator's index-contiguous connectivity clusters together
 /// on a cluster grid (emulates a converged placement; without this every
-/// net spans a large fraction of the die and no estimator delta is ever
-/// local). Matches GeneratorConfig::cluster_size's default.
+/// net spans a large fraction of the die). Matches
+/// GeneratorConfig::cluster_size's default.
 void clusterize(Design& d, int cluster_size = 24) {
     std::vector<int> movable;
     for (int i = 0; i < d.num_cells(); ++i)
@@ -300,73 +291,6 @@ struct AuditOffGuard {
     AuditOffGuard() { set_audit_enabled(false); }
     ~AuditOffGuard() { set_audit_enabled(saved); }
 };
-
-/// One-RRR-round router config with layer capacities scaled so the
-/// clusterized synthetic is routable (near-zero overflow), as the loop's
-/// inflation has achieved by its converged tail. At the generator's raw
-/// density the maze fallback grinds through a hopeless 20k+-overflow map
-/// for ~1s per round in *both* modes, hiding everything else under a
-/// constant.
-RouterConfig loop_router_config() {
-    RouterConfig cfg;
-    cfg.rrr_rounds = 1;
-    for (LayerSpec& l : cfg.layers) l.capacity *= 4.0;
-    return cfg;
-}
-
-void BM_RoutabilityLoopRouteFull(benchmark::State& state) {
-    AuditOffGuard audits;
-    LoopScenario sc(static_cast<int>(state.range(0)));
-    const BinGrid grid(sc.d.region, 64, 64);
-    const GlobalRouter router(grid, loop_router_config());
-    bool flip = false;
-    for (auto _ : state) {
-        sc.apply(flip);
-        flip = !flip;
-        auto rr = router.route(sc.d);
-        benchmark::DoNotOptimize(rr.total_overflow);
-    }
-}
-BENCHMARK(BM_RoutabilityLoopRouteFull)
-    ->Arg(1000)
-    ->Arg(4000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_RoutabilityLoopRouteIncremental(benchmark::State& state) {
-    AuditOffGuard audits;
-    LoopScenario sc(static_cast<int>(state.range(0)));
-    const BinGrid grid(sc.d.region, 64, 64);
-    const GlobalRouter router(grid, loop_router_config());
-    IncrementalRouteState inc;
-    sc.apply(false);
-    (void)router.route(sc.d, &inc);  // warm the cache outside the timing
-    const IncrementalRouteStats warm = inc.stats;
-    bool flip = true;
-    for (auto _ : state) {
-        sc.apply(flip);
-        flip = !flip;
-        auto rr = router.route(sc.d, &inc);
-        benchmark::DoNotOptimize(rr.total_overflow);
-    }
-    const long long calls = inc.stats.calls - warm.calls;
-    const long long total = inc.stats.conns_total - warm.conns_total;
-    const long long hits = inc.stats.cache_hits - warm.cache_hits;
-    const long long rerouted = inc.stats.conns_rerouted - warm.conns_rerouted;
-    const long long nets = inc.stats.nets_rerouted - warm.nets_rerouted;
-    state.counters["cache_hit_rate"] =
-        total > 0 ? static_cast<double>(hits) / static_cast<double>(total)
-                  : 0.0;
-    state.counters["conns_rerouted_per_iter"] =
-        calls > 0 ? static_cast<double>(rerouted) / static_cast<double>(calls)
-                  : 0.0;
-    state.counters["nets_rerouted_per_iter"] =
-        calls > 0 ? static_cast<double>(nets) / static_cast<double>(calls)
-                  : 0.0;
-}
-BENCHMARK(BM_RoutabilityLoopRouteIncremental)
-    ->Arg(1000)
-    ->Arg(4000)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_RudyCongestionFull(benchmark::State& state) {
     AuditOffGuard audits;

@@ -15,12 +15,15 @@
 #                        -L golden, -L parallel and -L router: the
 #                        determinism contract must survive GCC's -O3
 #                        vectorizer too, and so must the maze search's tie
-#                        certificate, which compares doubles for equality
+#                        certificate, which compares doubles for equality;
+#                        then a Release RDP_SIMD=scalar build + ctest
+#                        -L golden and -L simd (the scalar backend at -O3
+#                        must still give the pinned digests)
 #   7. sanitizer matrix  address, undefined, address;undefined -> ctest -L sanitize
 #                        thread                                -> ctest -L parallel
 #                        plus explicit ASan+UBSan passes: ctest -L recover
-#                        (fault injection), ctest -L router (persistent
-#                        route cache, maze search equivalence),
+#                        (fault injection), ctest -L router (reused router
+#                        scratch, maze search equivalence),
 #                        ctest -L poisson (spectral
 #                        kernels), ctest -L
 #                        simd (vector backends / stable_exp / kernel
@@ -197,6 +200,25 @@ else
     record_failure "release build"
 fi
 
+# The scalar backend at -O3: GCC may fuse or vectorize the portable
+# fallback's loops differently from the native backend's (DESIGN.md §14),
+# and the golden digests must hold there too.
+note "release scalar build (Release, RDP_SIMD=scalar) + ctest -L golden/simd"
+if cmake -B build-release-scalar -S . -DCMAKE_BUILD_TYPE=Release \
+         -DRDP_SIMD=scalar >/dev/null &&
+   cmake --build build-release-scalar -j "$JOBS"; then
+    for label in golden simd; do
+        if require_label build-release-scalar "$label"; then
+            if ! ctest --test-dir build-release-scalar -L "$label" \
+                       --output-on-failure -j "$JOBS"; then
+                record_failure "release scalar build ctest -L $label"
+            fi
+        fi
+    done
+else
+    record_failure "release scalar build"
+fi
+
 # ---- 7. sanitizer matrix --------------------------------------------------
 if [[ "$FAST" == 0 ]]; then
     sanitize_config() {
@@ -231,14 +253,14 @@ if [[ "$FAST" == 0 ]]; then
         fi
     fi
 
-    # Routing under ASan+UBSan: the persistent route cache (rip-up/commit
-    # deltas, capacity-dirty invalidation) and the maze search's padded
+    # Routing under ASan+UBSan: the router scratch reused across calls
+    # (resized grids, RRR wave buffers) and the maze search's padded
     # window and bucket ring must be memory- and UB-clean.
-    note "incremental routing under ASan+UBSan (ctest -L router)"
+    note "routing under ASan+UBSan (ctest -L router)"
     if require_label build-san-address-undefined router; then
         if ! ctest --test-dir build-san-address-undefined \
                    -L router --output-on-failure -j "$JOBS"; then
-            record_failure "incremental routing (asan+ubsan)"
+            record_failure "routing (asan+ubsan)"
         fi
     fi
 

@@ -9,7 +9,7 @@ namespace rdp::audit {
 
 namespace {
 
-constexpr size_t kNumAuditors = 8;
+constexpr size_t kNumAuditors = 7;
 
 constexpr std::array<AuditorInfo, kNumAuditors> kAuditors = {{
     {"finite-gradients",
@@ -18,8 +18,6 @@ constexpr std::array<AuditorInfo, kNumAuditors> kAuditors = {{
      "density-grid mass equals total clipped movable+fixed charge"},
     {"router-accounting",
      "edge demand equals committed route segments; history costs >= 0"},
-    {"incremental-route",
-     "delta-maintained phase-A demand equals a from-scratch recompute"},
     {"congestion-finite",
      "congestion-map demand and capacity are finite and non-negative"},
     {"spectral-finite",
@@ -46,7 +44,7 @@ void note_run(std::string_view name) {
     detail::audit_fail(auditor, msg);
 }
 
-/// Shared by router-accounting and incremental-route: recompute wire demand
+/// Shared by the router-accounting checks: recompute wire demand
 /// and bend vias from the committed paths with the same unit increments
 /// RouteState::commit applies; integer-valued sums in double are exact, so
 /// the comparison is exact equality.
@@ -158,8 +156,7 @@ void check_incremental_route(const GridF& dem_h, const GridF& dem_v,
                              const GridF& bend_vias,
                              const std::vector<RoutePath>& paths) {
     if (!audit_enabled()) return;
-    note_run("incremental-route");
-    check_demand_matches_paths("incremental-route", dem_h, dem_v, bend_vias,
+    check_demand_matches_paths("router-accounting", dem_h, dem_v, bend_vias,
                                paths);
 }
 

@@ -24,11 +24,6 @@
 //                      Poisson solve contain no NaN or infinity (checked on
 //                      every density solve; catches FFT/DCT kernel
 //                      corruption before it poisons the gradients).
-//   incremental-route  the delta-maintained phase-A demand of the
-//                      incremental router equals a from-scratch recompute
-//                      over the cached per-net routes exactly (checked
-//                      after every cache reconciliation; catches stale or
-//                      corrupted incremental state).
 //   inflation-budget   after budgeting, inflated-area bookkeeping balances:
 //                      every ratio is finite and positive, real-cell area
 //                      growth stays within the filler-area budget net of
@@ -85,10 +80,9 @@ void check_router_accounting(const GridF& dem_h, const GridF& dem_v,
                              const std::vector<RoutePath>& paths,
                              const GridF& hist_h, const GridF& hist_v);
 
-/// Cross-checks the incremental router's delta-maintained demand against a
-/// from-scratch recompute over the cached routes (same exact-equality
-/// recompute as check_router_accounting, without the history-cost clause —
-/// phase-A state carries no history).
+/// The demand clause of check_router_accounting alone (no history grids);
+/// no caller. Kept for bench_e2e's link-time wrap, which names it; delete
+/// with ROADMAP item 3.
 void check_incremental_route(const GridF& dem_h, const GridF& dem_v,
                              const GridF& bend_vias,
                              const std::vector<RoutePath>& paths);

@@ -43,7 +43,8 @@ public:
     /// Inclusive bin-index span [x0, x1] x [y0, y1] of the bins r (clipped
     /// to the region) can overlap; false when the clipped rect is empty.
     /// The single source of truth for rect -> bin-range mapping, shared by
-    /// for_each_overlap and the incremental-RUDY dirty-span queries.
+    /// for_each_overlap and the vectorized splat and gather kernels
+    /// (grid/splat_kernel.hpp).
     bool bin_span(const Rect& r, int& x0, int& y0, int& x1, int& y1) const {
         const Rect c = r.intersect(region_);
         if (c.empty()) return false;

@@ -157,10 +157,9 @@ private:
     const BinGrid& grid_;
     recover::StageGuard guard_;
     recover::DivergenceChecks checks_;
-    /// Incremental congestion estimation (DESIGN.md §12): a persistent
-    /// router cache threaded through every estimation of this stage,
-    /// bitwise identical to from-scratch estimation. RUDY keeps no cache.
-    IncrementalRouteState inc_route_;
+    /// Router buffers reused by every congestion estimate of this stage
+    /// (DESIGN.md §12); each estimate is routed from scratch.
+    IncrementalRouteState route_scratch_;
     std::unique_ptr<GlobalRouter> router_;
     CongestionField field_;
     std::unique_ptr<InflationScheme> scheme_;
@@ -206,11 +205,8 @@ void RoutabilityStage::run(const recover::PipelineSnapshot* resume) {
         st_.cur.lambda1 = cfg_.route_lambda1_boost * ratio;
     } else {
         // Durable resume (DESIGN.md §16): the snapshot is the whole loop
-        // state. Push its object-owned parts back, then drop the
-        // incremental cache exactly as a recovery rollback does (it
-        // reconciles against positions this process never routed). The
-        // remaining iterations are then bitwise identical to the
-        // uninterrupted run.
+        // state. Push its object-owned parts back; the remaining
+        // iterations are then bitwise identical to the uninterrupted run.
         st_ = *resume;
         d_.set_positions(movable_, st_.cur.pos);
         scheme_->restore(st_.cur.inflation);
@@ -218,7 +214,6 @@ void RoutabilityStage::run(const recover::PipelineSnapshot* resume) {
         // construction-time gamma, not the decayed stage-1 result.
         obj_.set_gamma(st_.cur.gamma);
         stats_.outer_iters = st_.iter;
-        inc_route_.invalidate();
         RDP_LOG_INFO() << "resumed " << kStage << " at outer iteration "
                        << st_.iter;
     }
@@ -283,24 +278,10 @@ bool RoutabilityStage::iterate() {
     } else if (cfg_.use_rudy_congestion) {
         cmap_ = rudy_congestion(d_, grid_, cfg_.router);
     } else {
-        const RouteResult rr = router_->route(d_, &inc_route_);
+        const RouteResult rr = router_->route(d_, &route_scratch_);
         cmap_ = rr.congestion;
         rrr_executed = rr.rrr_rounds_executed;
         rrr_stalled = rr.rrr_rounds_stalled;
-        stats_.route_conns_total += rr.inc_conns_total;
-        stats_.route_conns_rerouted += rr.inc_conns_rerouted;
-        // Fault-injection site (stage "global-route", distinct from the
-        // kStage sites below): corrupt the *persistent* phase-A demand
-        // after a successful route. The next route() call's
-        // incremental-route auditor must trip on the stale cache and
-        // recovery must invalidate it.
-        if (guard_.active() &&
-            recover::fault::fire("global-route",
-                                 recover::FaultKind::CorruptedDemand,
-                                 outer) &&
-            inc_route_.dem_h.width() > 0) {
-            inc_route_.dem_h.at(0, 0) += 1.0;
-        }
     }
 
     // Fault-injection sites (inert unless a matching spec is armed): the
@@ -516,10 +497,6 @@ bool RoutabilityStage::recover(recover::FaultKind kind, const char* what) {
             for (double& c : st_.router_layer_capacity)
                 c /= cfg_.recover.router_relax;
             rebuild_router();
-            // The relaxed config changes the cached routes' cost model; the
-            // config key would force the rebuild anyway, but drop the cache
-            // explicitly.
-            inc_route_.invalidate();
             std::ostringstream oss;
             oss << "overflow penalty -> " << st_.router_overflow_penalty
                 << ", capacity factors x" << 1.0 / cfg_.recover.router_relax;
@@ -527,10 +504,6 @@ bool RoutabilityStage::recover(recover::FaultKind kind, const char* what) {
             break;
         }
         case FaultKind::CorruptedDemand: {
-            // The corruption may live in the persistent incremental cache
-            // (that is exactly what the incremental-route auditor detects),
-            // so the retry must never reuse it.
-            inc_route_.invalidate();
             // First retry re-routes (transient corruption); further ones
             // fall back to the last-good map.
             if (guard_.retries_used() > 1 && st_.cmap_demand.width() > 0) {
@@ -557,10 +530,7 @@ bool RoutabilityStage::recover(recover::FaultKind kind, const char* what) {
         default: {
             // GradientNaN / HpwlExplosion / OverflowOscillation /
             // AuditViolation: roll back and damp the schedule that drove
-            // the divergence. The incremental cache was reconciled
-            // against the *failed* positions; a restored rollback point
-            // must never be scored against it.
-            inc_route_.invalidate();
+            // the divergence.
             if (ckpt_.valid()) {
                 // Rollback: positions, lambda_1, ratios, inflation history.
                 st_.cur.pos = ckpt_.at.pos;
@@ -606,7 +576,8 @@ void RoutabilityStage::finish() {
     const double severe =
         cfg_.use_rudy_congestion
             ? rudy_congestion(d_, grid_, cfg_.router).weighted_overflow()
-            : router_->route(d_, &inc_route_).congestion.weighted_overflow();
+            : router_->route(d_, &route_scratch_)
+                  .congestion.weighted_overflow();
     if (severe < st_.best.overflow * (1.0 - cfg_.keep_best_margin))
         keep_best(severe, stats_.outer_iters);
     const recover::PipelineSnapshot::Best& best = st_.best;

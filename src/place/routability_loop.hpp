@@ -28,10 +28,6 @@ struct RoutabilityStats {
     /// Recovery/degradation events of this stage (merged into
     /// PlaceResult::recovery by GlobalPlacer).
     recover::RecoveryReport recovery;
-    /// Incremental-routing reconciliation totals over the stage's router
-    /// invocations (reporting only; see RouteResult::inc_*).
-    long long route_conns_total = 0;
-    long long route_conns_rerouted = 0;
 };
 
 /// Run the routability-driven stage on a working design (fillers included;
@@ -45,8 +41,7 @@ struct RoutabilityStats {
 /// `durable` (optional) journals a PipelineSnapshot at every outer
 /// iteration boundary; `resume` (optional, stage == kStageRoutability)
 /// restarts the loop from such a snapshot — positions, inflation, maps,
-/// router relaxations, and best-so-far state all restored, the incremental
-/// route cache invalidated exactly as on recovery rollbacks — and
+/// router relaxations, and best-so-far state all restored — and
 /// continues to a bitwise-identical final placement (DESIGN.md §16).
 RoutabilityStats run_routability_stage(
     Design& d, const std::vector<int>& movable, PlacementObjective& obj,

@@ -48,8 +48,7 @@ RecoverableError::RecoverableError(FaultKind kind, std::string stage,
 FaultKind classify_audit_failure(const AuditFailure& failure) {
     const std::string& inv = failure.invariant();
     if (inv == "finite-gradients") return FaultKind::GradientNaN;
-    if (inv == "router-accounting" || inv == "incremental-route" ||
-        inv == "congestion-finite")
+    if (inv == "router-accounting" || inv == "congestion-finite")
         return FaultKind::CorruptedDemand;
     if (inv == "inflation-budget") return FaultKind::CorruptedBudget;
     return FaultKind::AuditViolation;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdint>
-#include <cstring>
 #include <functional>
 #include <numeric>
 
@@ -47,8 +45,8 @@ void GlobalRouter::build_capacity_impl(const Design& d,
     for (const LayerSpec& l : layers)
         (l.dir == Orient::Horizontal ? base_h : base_v) += l.capacity;
 
-    // Reuse the callers' grids when the geometry matches (the incremental
-    // state passes the same scratch every call).
+    // Reuse the callers' grids when the geometry matches (a reused
+    // scratch passes the same grids every call).
     if (cap_h.width() != grid_.nx() || cap_h.height() != grid_.ny())
         cap_h.resize(grid_.nx(), grid_.ny());
     if (cap_v.width() != grid_.nx() || cap_v.height() != grid_.ny())
@@ -118,8 +116,17 @@ void GlobalRouter::build_capacity_impl(const Design& d,
 
 namespace {
 
+/// Size `g` to nx x ny and zero it without shrinking its allocation.
+void reset_grid(GridF& g, int nx, int ny) {
+    if (g.width() == nx && g.height() == ny) {
+        g.fill(0.0);
+    } else {
+        g.resize(nx, ny);
+    }
+}
+
 /// Mutable routing state for one GlobalRouter::route() invocation. The
-/// grids live in the (possibly persistent) RouterScratch; this wrapper
+/// grids live in the (possibly reused) RouterScratch; this wrapper
 /// only binds them to the cost/commit logic.
 ///
 /// A speculative reroute binds a window-local copy instead: demand and
@@ -296,23 +303,22 @@ struct RouteState {
     }
 };
 
-/// Accumulate a path's unit demand into phase-A grids without touching
-/// costs (phase A routes against a frozen baseline). Unit increments on
-/// doubles are integer-valued, so add/remove deltas are exact and the
-/// result is independent of accumulation order.
+/// Accumulate a path's unit demand into the phase-A grids without
+/// touching costs (phase A routes against a frozen baseline). Unit
+/// increments on doubles are integer-valued, so the sums are exact.
 void accumulate_path(GridF& dem_h, GridF& dem_v, GridF& bend_vias,
-                     const RoutePath& p, double sign) {
+                     const RoutePath& p) {
     for (const RouteSeg& s : p.segs) {
         if (s.horizontal()) {
             const int lo = std::min(s.x0, s.x1), hi = std::max(s.x0, s.x1);
-            for (int x = lo; x <= hi; ++x) dem_h.at(x, s.y0) += sign;
+            for (int x = lo; x <= hi; ++x) dem_h.at(x, s.y0) += 1.0;
         } else {
             const int lo = std::min(s.y0, s.y1), hi = std::max(s.y0, s.y1);
-            for (int y = lo; y <= hi; ++y) dem_v.at(s.x0, y) += sign;
+            for (int y = lo; y <= hi; ++y) dem_v.at(s.x0, y) += 1.0;
         }
     }
     for (size_t i = 0; i + 1 < p.segs.size(); ++i)
-        bend_vias.at(p.segs[i].x1, p.segs[i].y1) += sign;
+        bend_vias.at(p.segs[i].x1, p.segs[i].y1) += 1.0;
 }
 
 /// Shift every span of `p` by (dx, dy).
@@ -445,85 +451,32 @@ void reroute_pass(RouteState& st, RouterScratch& ws,
     }
 }
 
-// FNV-1a over 64-bit words: cheap, deterministic cache-identity hashing.
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-
-std::uint64_t hash_mix(std::uint64_t h, std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-    return h;
-}
-
-std::uint64_t hash_double(std::uint64_t h, double v) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    return hash_mix(h, bits);
-}
-
-/// Everything the cached phase-A routes depend on besides pin bins and
-/// capacity cells: grid geometry (bin centers feed the MST decomposition)
-/// and the cost-model knobs of the baseline cost.
-std::uint64_t router_config_key(const BinGrid& g, const RouterConfig& cfg) {
-    std::uint64_t h = kFnvOffset;
-    h = hash_mix(h, static_cast<std::uint64_t>(g.nx()));
-    h = hash_mix(h, static_cast<std::uint64_t>(g.ny()));
-    h = hash_double(h, g.region().lx);
-    h = hash_double(h, g.region().ly);
-    h = hash_double(h, g.region().hx);
-    h = hash_double(h, g.region().hy);
-    for (const LayerSpec& l : cfg.layers) {
-        h = hash_mix(h, l.dir == Orient::Horizontal ? 1u : 2u);
-        h = hash_double(h, l.capacity);
-    }
-    h = hash_double(h, cfg.track_pitch);
-    h = hash_double(h, cfg.pin_blockage);
-    h = hash_double(h, cfg.pg_blockage_frac);
-    h = hash_double(h, cfg.routing_blockage_frac);
-    h = hash_double(h, cfg.min_capacity);
-    h = hash_double(h, cfg.overflow_penalty);
-    h = hash_mix(h, static_cast<std::uint64_t>(cfg.max_bend_candidates));
-    return h;
-}
-
-/// Netlist structure (net -> pin lists): cell movement never changes it,
-/// so a key mismatch means the state belongs to a different design.
-std::uint64_t design_structure_key(const Design& d) {
-    std::uint64_t h = kFnvOffset;
-    h = hash_mix(h, static_cast<std::uint64_t>(d.num_cells()));
-    h = hash_mix(h, static_cast<std::uint64_t>(d.num_pins()));
-    h = hash_mix(h, static_cast<std::uint64_t>(d.nets.size()));
-    for (const Net& n : d.nets) {
-        h = hash_mix(h, static_cast<std::uint64_t>(n.pins.size()));
-        for (int p : n.pins) h = hash_mix(h, static_cast<std::uint64_t>(p));
-    }
-    return h;
-}
-
 }  // namespace
 
+void RouterScratch::reset(int nx, int ny) {
+    for (GridF* g : {&cap_h, &cap_v, &dem_h, &dem_v, &bend_vias, &pin_vias,
+                     &hist_h, &hist_v, &cost_h, &cost_v})
+        reset_grid(*g, nx, ny);
+}
+
 RouteResult GlobalRouter::route(const Design& d) const {
-    // A short-lived empty state turns the stateless route into a full
-    // rebuild through the one shared implementation.
-    IncrementalRouteState tmp;
-    return route_impl(d, tmp);
+    RouterScratch ws;
+    return route_impl(d, ws);
 }
 
 RouteResult GlobalRouter::route(const Design& d,
                                 IncrementalRouteState* state) const {
     if (state == nullptr) return route(d);
-    return route_impl(d, *state);
+    return route_impl(d, state->scratch);
 }
 
-RouteResult GlobalRouter::route_impl(const Design& d,
-                                     IncrementalRouteState& S) const {
+RouteResult GlobalRouter::route_impl(const Design& d, RouterScratch& ws) const {
     const AuditStageScope audit_scope("global-route");
     // Resolve the layer stack once per invocation; both capacity building
     // and the final layer assignment consume the same copy.
     const std::vector<LayerSpec> layers = effective_layers();
     const int nx = grid_.nx(), ny = grid_.ny();
 
-    RouterScratch& ws = S.scratch;
     ws.reset(nx, ny);
     RouteState st(cfg_, ws);
     build_capacity_impl(d, layers, ws.cap_h, ws.cap_v);
@@ -536,219 +489,79 @@ RouteResult GlobalRouter::route_impl(const Design& d,
                        g.at(gi.ix, gi.iy) += 1.0;
                    });
 
-    // ---- Phase A: reconcile the cached baseline routes ------------------
-    // Cache identity: a cache built for another netlist, grid or router
-    // cost model is rebuilt from scratch.
-    ++S.stats.calls;
-    const std::uint64_t ckey = router_config_key(grid_, cfg_);
-    const std::uint64_t dkey = design_structure_key(d);
-    const bool fresh = !S.valid || S.config_key != ckey ||
-                       S.design_key != dkey || S.nx != nx || S.ny != ny;
-
-    // Pin-bin signatures of this call (disjoint writes -> deterministic).
-    const size_t num_pins = static_cast<size_t>(d.num_pins());
-    std::vector<int>& pin_bin = ws.pin_bin;
-    pin_bin.resize(num_pins);
-    par::parallel_for(num_pins, 2048, [&](size_t b, size_t e) {
-        for (size_t p = b; p < e; ++p) {
-            const GridIndex gi =
-                grid_.index_of(d.pin_position(static_cast<int>(p)));
-            pin_bin[p] = gi.iy * nx + gi.ix;
-        }
-    });
-
+    // ---- Phase A: pattern-route every connection ------------------------
     // Baseline cost: capacity only (working demand and history are still
-    // zero here). Phase-A routes scored against this frozen model are
-    // order-independent and local to the endpoints' bounding box — the
-    // two properties the per-net cache rests on.
+    // zero here). Phase-A routes are scored against this frozen model, so
+    // they are independent of the routing order and run in parallel.
     st.refresh_all_costs();
     const RouteCostModel base_model{&ws.cost_h, &ws.cost_v, 1.0};
 
-    // Re-decompose nets whose pin-bin signature changed (all of them on a
-    // fresh rebuild). Per-net MST over the pin-bin centers, written into
-    // the net's fixed connection slots (a net of degree k always owns
-    // exactly k-1 slots), chunked over nets with disjoint outputs.
+    // Per-net MST over the pin-bin centers, written into the net's fixed
+    // connection slots (a net of degree k owns exactly k-1 slots), chunked
+    // over nets with disjoint outputs.
     const size_t num_nets = d.nets.size();
-    std::vector<unsigned char>& net_changed = ws.net_changed;
-    net_changed.assign(num_nets, fresh ? 1 : 0);
-    if (fresh) {
-        S.net_first_conn.assign(num_nets + 1, 0);
-        for (size_t ni = 0; ni < num_nets; ++ni) {
-            const int deg = d.nets[ni].degree();
-            S.net_first_conn[ni + 1] =
-                S.net_first_conn[ni] + (deg >= 2 ? deg - 1 : 0);
-        }
-        const size_t total =
-            static_cast<size_t>(S.net_first_conn[num_nets]);
-        S.conns.assign(total, RouteConn{});
-        S.paths.assign(total, RoutePath{});
-        S.dem_h.resize(nx, ny);
-        S.dem_v.resize(nx, ny);
-        S.bend_vias.resize(nx, ny);
-        ++S.stats.full_rebuilds;
-    } else {
-        par::parallel_for(num_nets, 256, [&](size_t b, size_t e) {
-            for (size_t ni = b; ni < e; ++ni) {
-                for (int p : d.nets[ni].pins) {
-                    if (pin_bin[static_cast<size_t>(p)] ==
-                        S.pin_bin[static_cast<size_t>(p)])
-                        continue;
-                    net_changed[ni] = 1;
-                    break;
-                }
-            }
-        });
+    std::vector<int>& first = ws.net_first_conn;
+    first.assign(num_nets + 1, 0);
+    for (size_t ni = 0; ni < num_nets; ++ni) {
+        const int deg = d.nets[ni].degree();
+        first[ni + 1] = first[ni] + (deg >= 2 ? deg - 1 : 0);
     }
+    std::vector<RouteConn>& conns = ws.conns;
+    std::vector<RoutePath>& paths = ws.paths;
+    conns.resize(static_cast<size_t>(first[num_nets]));
+    paths.resize(conns.size());
     par::parallel_for(num_nets, 64, [&](size_t nb, size_t ne) {
         std::vector<Vec2> pts;
         std::vector<GridIndex> bins;
         for (size_t ni = nb; ni < ne; ++ni) {
-            if (!net_changed[ni]) continue;
             const Net& net = d.nets[ni];
             if (net.degree() < 2) continue;
             pts.clear();
             bins.clear();
             for (int p : net.pins) {
-                const int pb = pin_bin[static_cast<size_t>(p)];
-                const GridIndex gi{pb % nx, pb / nx};
+                const GridIndex gi = grid_.index_of(d.pin_position(p));
                 bins.push_back(gi);
                 pts.push_back(grid_.bin_center(gi.ix, gi.iy));
             }
-            int slot = S.net_first_conn[ni];
+            int slot = first[ni];
             for (const auto& [i, j] : manhattan_mst(pts)) {
                 const GridIndex a = bins[static_cast<size_t>(i)];
                 const GridIndex b = bins[static_cast<size_t>(j)];
-                S.conns[static_cast<size_t>(slot++)] = {
+                conns[static_cast<size_t>(slot++)] = {
                     a.ix, a.iy, b.ix, b.iy, static_cast<int>(ni),
                     std::abs(a.ix - b.ix) + std::abs(a.iy - b.iy)};
             }
-            assert(slot == S.net_first_conn[ni + 1]);
+            assert(slot == first[ni + 1]);
         }
     });
-
-    // A cached route is stale when its endpoint bounding box touches a
-    // G-cell whose capacity changed: the baseline cost is a pure function
-    // of the cell's capacity, and every L/Z candidate stays inside the
-    // bbox. Summed-area table over the dirty mask -> O(1) per connection.
-    std::vector<int>& todo = ws.todo;
-    todo.clear();
-    int nets_rerouted = 0;
-    if (fresh) {
-        todo.resize(S.conns.size());
-        std::iota(todo.begin(), todo.end(), 0);
-        for (size_t ni = 0; ni < num_nets; ++ni)
-            if (S.net_first_conn[ni + 1] > S.net_first_conn[ni])
-                ++nets_rerouted;
-    } else {
-        const int W = nx + 1;
-        std::vector<int>& sat = ws.dirty_sat;
-        sat.assign(static_cast<size_t>(W) * (ny + 1), 0);
-        for (int y = 0; y < ny; ++y) {
-            for (int x = 0; x < nx; ++x) {
-                const int dirty =
-                    ws.cap_h.at(x, y) != S.cap_h.at(x, y) ||
-                            ws.cap_v.at(x, y) != S.cap_v.at(x, y)
-                        ? 1
-                        : 0;
-                sat[static_cast<size_t>(y + 1) * W + (x + 1)] =
-                    dirty + sat[static_cast<size_t>(y) * W + (x + 1)] +
-                    sat[static_cast<size_t>(y + 1) * W + x] -
-                    sat[static_cast<size_t>(y) * W + x];
-            }
-        }
-        auto rect_has_dirty = [&](int x0, int y0, int x1, int y1) {
-            return sat[static_cast<size_t>(y1 + 1) * W + (x1 + 1)] -
-                       sat[static_cast<size_t>(y0) * W + (x1 + 1)] -
-                       sat[static_cast<size_t>(y1 + 1) * W + x0] +
-                       sat[static_cast<size_t>(y0) * W + x0] >
-                   0;
-        };
-        for (size_t ni = 0; ni < num_nets; ++ni) {
-            const int c0 = S.net_first_conn[ni];
-            const int c1 = S.net_first_conn[ni + 1];
-            if (c0 == c1) continue;
-            bool touched = false;
-            for (int c = c0; c < c1; ++c) {
-                const RouteConn& conn = S.conns[static_cast<size_t>(c)];
-                if (!net_changed[ni] &&
-                    !rect_has_dirty(std::min(conn.ax, conn.bx),
-                                    std::min(conn.ay, conn.by),
-                                    std::max(conn.ax, conn.bx),
-                                    std::max(conn.ay, conn.by)))
-                    continue;
-                todo.push_back(c);
-                touched = true;
-            }
-            if (touched) ++nets_rerouted;
-        }
-    }
-
-    // Rip up the stale routes (exact unit deltas; fresh slots are empty
-    // paths, so this is a no-op on a rebuild), reroute them against the
-    // frozen baseline in parallel, and commit the replacements.
-    for (int idx : todo)
-        accumulate_path(S.dem_h, S.dem_v, S.bend_vias,
-                        S.paths[static_cast<size_t>(idx)], -1.0);
-    par::parallel_for(todo.size(), 4, [&](size_t b, size_t e) {
+    par::parallel_for(conns.size(), 4, [&](size_t b, size_t e) {
         PatternScratch ps;
         for (size_t i = b; i < e; ++i) {
-            const size_t idx = static_cast<size_t>(todo[i]);
-            const RouteConn& c = S.conns[idx];
+            const RouteConn& c = conns[i];
             pattern_route_into(c.ax, c.ay, c.bx, c.by, base_model,
-                               cfg_.max_bend_candidates, ps, S.paths[idx]);
+                               cfg_.max_bend_candidates, ps, paths[i]);
         }
     });
-    for (int idx : todo)
-        accumulate_path(S.dem_h, S.dem_v, S.bend_vias,
-                        S.paths[static_cast<size_t>(idx)], +1.0);
-
-    // Refresh the cache identity the next call reconciles against.
-    S.valid = true;
-    S.nx = nx;
-    S.ny = ny;
-    S.config_key = ckey;
-    S.design_key = dkey;
-    S.pin_bin = pin_bin;
-    S.cap_h = ws.cap_h;
-    S.cap_v = ws.cap_v;
-    S.stats.conns_total += static_cast<long long>(S.conns.size());
-    S.stats.conns_rerouted += static_cast<long long>(todo.size());
-    S.stats.cache_hits +=
-        static_cast<long long>(S.conns.size() - todo.size());
-    S.stats.nets_rerouted += nets_rerouted;
-
-    // Invariant audit (extended demand accounting): the delta-maintained
-    // phase-A demand must equal a from-scratch recompute over the cached
-    // routes exactly — the safety net against stale-cache corruption.
-    if (audit_enabled())
-        audit::check_incremental_route(S.dem_h, S.dem_v, S.bend_vias,
-                                       S.paths);
+    for (const RoutePath& p : paths)
+        accumulate_path(ws.dem_h, ws.dem_v, ws.bend_vias, p);
 
     // ---- Phase B: negotiation-style rip-up-and-reroute ------------------
-    // Work on copies so the persistent phase-A state survives the RRR
-    // mutations; history restarts from zero every invocation, exactly as
-    // a from-scratch route would.
-    ws.dem_h = S.dem_h;
-    ws.dem_v = S.dem_v;
-    ws.bend_vias = S.bend_vias;
-    ws.paths = S.paths;
+    // History starts from zero every invocation.
     st.refresh_all_costs();
-    std::vector<RoutePath>& paths = ws.paths;
 
     // Route short connections first (they have the fewest alternatives);
-    // the bin-space length is signature-stable, the stable sort keeps
-    // construction order on ties.
+    // the stable sort keeps construction order on ties.
     std::vector<int>& order = ws.order;
-    order.resize(S.conns.size());
+    order.resize(conns.size());
     std::iota(order.begin(), order.end(), 0);
     std::stable_sort(order.begin(), order.end(), [&](int i, int j) {
-        return S.conns[static_cast<size_t>(i)].len <
-               S.conns[static_cast<size_t>(j)].len;
+        return conns[static_cast<size_t>(i)].len <
+               conns[static_cast<size_t>(j)].len;
     });
 
     // Invariant audit: entering RRR, the working demand maps must equal
-    // the sum of the committed paths exactly (the reconciliation may not
-    // drop or double-commit a connection).
+    // the sum of the committed paths exactly (phase A may not drop or
+    // double-commit a connection).
     if (audit_enabled())
         audit::check_router_accounting(ws.dem_h, ws.dem_v, ws.bend_vias,
                                        paths, ws.hist_h, ws.hist_v);
@@ -817,7 +630,7 @@ RouteResult GlobalRouter::route_impl(const Design& d,
 
         // One leader/helper region per round (DESIGN.md §9).
         par::with_helpers([&](par::Helpers& helpers) {
-            reroute_pass(st, ws, S.conns, helpers, spec_committed,
+            reroute_pass(st, ws, conns, helpers, spec_committed,
                          spec_discarded);
         });
 
@@ -877,10 +690,8 @@ RouteResult GlobalRouter::route_impl(const Design& d,
     res.rrr_rounds_stalled = rounds_stalled;
     res.rrr_spec_committed = spec_committed;
     res.rrr_spec_discarded = spec_discarded;
-    res.inc_conns_total = static_cast<int>(S.conns.size());
-    res.inc_conns_rerouted = static_cast<int>(todo.size());
-    res.inc_nets_rerouted = nets_rerouted;
-    res.inc_full_rebuild = fresh;
+    res.inc_conns_total = static_cast<int>(conns.size());
+    res.inc_conns_rerouted = res.inc_conns_total;
 
     // Routed wirelength: traversed G-cells scaled by pitch per direction.
     double wl = 0.0;

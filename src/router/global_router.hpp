@@ -3,29 +3,29 @@
 // Dmd/Cap maps that define the congestion map of Eq. (3) and the routed
 // wirelength / via statistics used by the evaluation layer.
 //
-// Flow per invocation:
+// Flow per invocation, always from scratch:
 //   1. build per-direction capacity maps (layer stack minus pin blockage on
 //      the lowest horizontal layer minus PG-rail blockage),
 //   2. decompose every net into two-pin MST edges over pin-bin centers and
 //      pattern-route each against a frozen capacity-only baseline cost
-//      (phase A — order-independent, so routes are cacheable per net; see
-//      router/incremental.hpp),
+//      (phase A),
 //   3. optional rip-up-and-reroute rounds with history costs on overflowed
 //      G-cells (negotiation-style, phase B),
 //   4. 3D layer assignment for via counting and the layered demand maps.
 //
-// route(d, &state) reconciles a persistent IncrementalRouteState instead
-// of rebuilding phase A, and is bitwise identical to route(d).
+// A caller that routes repeatedly (the routability loop) passes one
+// scratch along, route(d, &state), so that the per-call buffers are
+// reused; the result never depends on what the scratch held before.
 
 #include <vector>
 
 #include "db/design.hpp"
 #include "grid/bin_grid.hpp"
 #include "grid/congestion_map.hpp"
-#include "router/incremental.hpp"
 #include "router/layer_assign.hpp"
 #include "router/maze_route.hpp"
 #include "router/pattern_route.hpp"
+#include "util/grid2d.hpp"
 
 namespace rdp {
 
@@ -75,6 +75,64 @@ struct RouterConfig {
 /// EvalConfig ("router.rrr_rounds", "router.maze.window_margin").
 void validate_router_config(const RouterConfig& cfg);
 
+/// One two-pin connection of a net's MST decomposition, in G-cell space.
+/// Endpoints are pin bins (the decomposition is quantized to bin centers).
+struct RouteConn {
+    int ax = 0, ay = 0;  ///< first endpoint bin
+    int bx = 0, by = 0;  ///< second endpoint bin
+    int net = -1;        ///< owning net index
+    int len = 0;         ///< bin-space Manhattan length (routing-order key)
+};
+
+/// One participant's rip-up-and-reroute buffers (DESIGN.md §9): pattern
+/// scratch and the window-local copies of the cost and demand grids,
+/// reserved once for the largest window a wave may copy.
+struct RerouteSlot {
+    GridF cost_h, cost_v;
+    GridF dem_h, dem_v;
+    PatternScratch pattern;
+};
+
+/// One reroute of an RRR wave: the connection, its position in the
+/// routing order, its maze window, and the path a window copy gave it
+/// (grid coordinates; the first member is routed in place).
+struct WaveTask {
+    int pos = 0;
+    int conn = 0;
+    CellWindow window;
+    RoutePath path;
+};
+
+/// Reusable per-call routing buffers. Every call overwrites all of them,
+/// so a scratch passed through consecutive route() calls only saves the
+/// allocations; a route() without one carries a short-lived instance.
+struct RouterScratch {
+    GridF cap_h, cap_v;
+    GridF dem_h, dem_v;
+    GridF bend_vias, pin_vias;
+    GridF hist_h, hist_v;
+    GridF cost_h, cost_v;
+    GridF best_dem_h, best_dem_v, best_bends;
+    std::vector<int> net_first_conn;    ///< nets+1 offsets into conns
+    std::vector<RouteConn> conns;       ///< MST edges, net-major order
+    std::vector<RoutePath> paths;       ///< working routes mutated by RRR
+    std::vector<RoutePath> best_paths;  ///< best-overflow snapshot
+    std::vector<int> order;             ///< routing order (short first)
+    std::vector<RerouteSlot> slots;     ///< per wave participant
+    std::vector<WaveTask> wave;         ///< the current RRR wave
+    std::vector<RouteSeg> wave_spans;   ///< spans the wave committed
+
+    /// Size every working grid to nx x ny and zero it (keeps capacity).
+    void reset(int nx, int ny);
+};
+
+/// The routability loop's scratch holder. Kept for bench_e2e's link-time
+/// wrap, which names route(const Design&, IncrementalRouteState*); delete
+/// with ROADMAP item 3.
+struct IncrementalRouteState {
+    RouterScratch scratch;
+};
+
 struct RouteResult {
     CongestionMap congestion;  ///< Dmd (wire+via) vs Cap, Eq. (3) source
     GridF demand_h;
@@ -99,14 +157,11 @@ struct RouteResult {
     /// routing result does not.
     int rrr_spec_committed = 0;
     int rrr_spec_discarded = 0;
-    /// Phase-A (initial pass) reconciliation statistics of this call.
-    /// Reporting only: the routing result itself never depends on whether
-    /// a persistent cache was in play. A stateless route() is a full
-    /// rebuild, so conns_rerouted == conns_total there.
+    /// Connections routed by this call, both set to the same count. Kept
+    /// for bench_e2e's link-time wrap, which sums them; delete with
+    /// ROADMAP item 3.
     int inc_conns_total = 0;
     int inc_conns_rerouted = 0;
-    int inc_nets_rerouted = 0;
-    bool inc_full_rebuild = true;
 };
 
 class GlobalRouter {
@@ -119,12 +174,9 @@ public:
     /// Route the whole design and return aggregate maps and statistics.
     RouteResult route(const Design& d) const;
 
-    /// Incremental variant: reconcile `state` (cached per-net phase-A
-    /// routes and delta-maintained demand) instead of rebuilding from
-    /// scratch. Bitwise identical to route(d) for any RDP_THREADS value;
-    /// a null or incompatible state degenerates to a full rebuild. The
-    /// caller owns the state and must invalidate() it when rolling the
-    /// placement back (see src/recover).
+    /// route(d) with the buffers of `state->scratch` reused (a null state
+    /// means a short-lived scratch). Bitwise identical to route(d). Kept
+    /// for bench_e2e's link-time wrap; delete with ROADMAP item 3.
     RouteResult route(const Design& d, IncrementalRouteState* state) const;
 
     /// Capacity maps alone (per direction), for tests and the DRV proxy.
@@ -142,10 +194,8 @@ private:
                              const std::vector<LayerSpec>& layers,
                              GridF& cap_h, GridF& cap_v) const;
 
-    /// Shared implementation: a stateless route() runs it against a
-    /// short-lived empty state, so "full" and "incremental" are one code
-    /// path and bitwise identity between them is structural.
-    RouteResult route_impl(const Design& d, IncrementalRouteState& state) const;
+    /// Shared implementation of both route() overloads.
+    RouteResult route_impl(const Design& d, RouterScratch& ws) const;
 
     BinGrid grid_;
     RouterConfig cfg_;

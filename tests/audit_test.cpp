@@ -56,11 +56,11 @@ PlacerConfig fast_cfg() {
 
 TEST_F(AuditTest, RegistryListsAllAuditors) {
     const auto& reg = audit::registered_auditors();
-    ASSERT_EQ(reg.size(), 8u);
-    const char* expected[] = {"finite-gradients", "density-mass",
-                              "router-accounting", "incremental-route",
-                              "congestion-finite", "spectral-finite",
-                              "inflation-budget",  "legalized"};
+    ASSERT_EQ(reg.size(), 7u);
+    const char* expected[] = {"finite-gradients",  "density-mass",
+                              "router-accounting", "congestion-finite",
+                              "spectral-finite",   "inflation-budget",
+                              "legalized"};
     for (const char* name : expected) {
         bool found = false;
         for (const auto& info : reg) found |= std::string(info.name) == name;
@@ -120,7 +120,6 @@ TEST_F(AuditTest, CleanFlowRunsEveryAuditorWithoutTripping) {
     EXPECT_GT(audit::runs("finite-gradients"), 0);
     EXPECT_GT(audit::runs("density-mass"), 0);
     EXPECT_GT(audit::runs("router-accounting"), 0);
-    EXPECT_GT(audit::runs("incremental-route"), 0);
     EXPECT_GT(audit::runs("spectral-finite"), 0);
     EXPECT_GT(audit::runs("inflation-budget"), 0);
     EXPECT_GT(audit::runs("legalized"), 0);

@@ -1,12 +1,13 @@
 // Golden end-to-end digests: pin what the placer's output *is*.
 //
 // Every other equivalence test compares two runs (threads vs threads,
-// scalar vs AVX2, incremental vs full, killed vs uninterrupted), so a
-// change that moves every mode the same way passes them all. These runs
-// pin an absolute FNV-1a-64 digest instead, over the final positions,
-// hpwl_final, route_best_iter, and the recovery event sequence (stage,
-// kind, action, iteration) — clean runs of two small designs in all three
-// PlacerModes, one run per Table II toggle (no MCI / DC / DPA) and per
+// scalar vs AVX2, reused vs fresh router scratch, killed vs
+// uninterrupted), so a change that moves every mode the same way passes
+// them all. These runs pin an absolute FNV-1a-64 digest instead, over the
+// final positions, hpwl_final, route_best_iter, and the recovery event
+// sequence (stage, kind, action, iteration) — clean runs of two small
+// designs in all three PlacerModes, router-mode runs of two scaled-down
+// suite designs, one run per Table II toggle (no MCI / DC / DPA) and per
 // alternative congestion model (RUDY source, bounding-box DC penalty), the
 // RUDY source on the second design and through a routability rollback, plus
 // one run per injected fault the recovery suite uses.
@@ -25,6 +26,7 @@
 #include <string>
 
 #include "benchgen/generator.hpp"
+#include "benchgen/ispd_suite.hpp"
 #include "eval/route_metrics.hpp"
 #include "place/global_placer.hpp"
 #include "recover/durable_checkpoint.hpp"
@@ -169,6 +171,24 @@ TEST_F(GoldenTest, CleanRunsInEveryMode) {
     for (const Run& r : runs)
         expect_digest(r.name, r.gen, short_cfg(r.mode), r.golden,
                       r.eval_golden);
+}
+
+TEST_F(GoldenTest, SuiteDesignsInRouterMode) {
+    // Two more designs from the Table I suite, scaled down to ~300 cells:
+    // one with macros at high utilization, one whose fence was removed.
+    struct Run {
+        const char* name;
+        uint64_t golden;
+        uint64_t eval_golden;
+    };
+    const Run runs[] = {
+        {"fft_b", 0x25da0b17e37cf026ull, 0xb21fa2a5c2bb7dd7ull},
+        {"pci_bridge32_a", 0xd436007c3a97100bull,
+         0x89d1eff524fc23b8ull},
+    };
+    for (const Run& r : runs)
+        expect_digest(r.name, suite_entry(r.name, 0.2).gen,
+                      short_cfg(PlacerMode::Ours), r.golden, r.eval_golden);
 }
 
 TEST_F(GoldenTest, AblationTogglesAndCongestionModels) {
