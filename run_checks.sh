@@ -17,8 +17,11 @@
 #                        vectorizer too, and so must the maze search's tie
 #                        certificate, which compares doubles for equality;
 #                        then a Release RDP_SIMD=scalar build + ctest
-#                        -L golden and -L simd (the scalar backend at -O3
-#                        must still give the pinned digests)
+#                        -L golden, -L simd and -L router (the scalar
+#                        backend at -O3 must still give the pinned digests,
+#                        and the goal-directed maze search, whose keys add
+#                        and multiply, must still match the heap's paths
+#                        in a build without FMA)
 #   7. sanitizer matrix  address, undefined, address;undefined -> ctest -L sanitize
 #                        thread                                -> ctest -L parallel
 #                        plus explicit ASan+UBSan passes: ctest -L recover
@@ -202,12 +205,13 @@ fi
 
 # The scalar backend at -O3: GCC may fuse or vectorize the portable
 # fallback's loops differently from the native backend's (DESIGN.md §14),
-# and the golden digests must hold there too.
-note "release scalar build (Release, RDP_SIMD=scalar) + ctest -L golden/simd"
+# and the golden digests must hold there too. The maze search's keys and
+# tie certificate (DESIGN.md §17) must also hold in a build without FMA.
+note "release scalar build (Release, RDP_SIMD=scalar) + ctest -L golden/simd/router"
 if cmake -B build-release-scalar -S . -DCMAKE_BUILD_TYPE=Release \
          -DRDP_SIMD=scalar >/dev/null &&
    cmake --build build-release-scalar -j "$JOBS"; then
-    for label in golden simd; do
+    for label in golden simd router; do
         if require_label build-release-scalar "$label"; then
             if ! ctest --test-dir build-release-scalar -L "$label" \
                        --output-on-failure -j "$JOBS"; then

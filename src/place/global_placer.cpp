@@ -77,16 +77,30 @@ PlacerConfig resolve_run_config(PlacerConfig cfg) {
 }
 
 /// Rejects a field outside its domain with a ConfigError before place()
-/// does any work: unchecked, a negative maze margin crashes the router
-/// and grid_bins < 1 silently places on a 1 x 1 grid.
+/// does any work: unchecked, a negative maze margin crashes the router,
+/// grid_bins < 1 silently places on a 1 x 1 grid, a zero gamma_frac
+/// divides the WA model by zero, and a NaN or negative schedule, stop or
+/// budget value is either run as given or left to the recovery layer to
+/// degrade the stage.
 void validate_placer_config(const PlacerConfig& cfg) {
     require_at_least("grid_bins", cfg.grid_bins, 1);
     require_at_least("max_wl_iters", cfg.max_wl_iters, 0);
     require_at_least("inner_iters", cfg.inner_iters, 0);
     require_at_least("max_route_iters", cfg.max_route_iters, 0);
+    require_at_least("stop_patience", cfg.stop_patience, 0);
     require_at_least("dc_weight", cfg.dc_weight, 0.0);
     require_at_least("dpa_weight", cfg.dpa_weight, 0.0);
     require_at_least("filler_ratio", cfg.filler_ratio, 0.0);
+    // gamma divides the WA exponents; gamma_min_frac is its floor.
+    require_positive("gamma_frac", cfg.gamma_frac);
+    require_positive("gamma_min_frac", cfg.gamma_min_frac);
+    require_at_least("gamma_decay", cfg.gamma_decay, 0.0);
+    require_at_least("lambda1_growth", cfg.lambda1_growth, 0.0);
+    require_at_least("stop_overflow", cfg.stop_overflow, 0.0);
+    require_at_least("inflation_budget_frac", cfg.inflation_budget_frac, 0.0);
+    require_at_least("keep_best_margin", cfg.keep_best_margin, 0.0);
+    require_at_least("route_lambda1_boost", cfg.route_lambda1_boost, 0.0);
+    require_at_least("static_pg_weight", cfg.static_pg_weight, 0.0);
     validate_router_config(cfg.router);
 }
 

@@ -156,9 +156,12 @@ public:
     /// RDP_RECOVER, RDP_STAGE_BUDGET_MS, RDP_CHECKPOINT_DIR,
     /// RDP_CHECKPOINT_EVERY and RDP_RESUME environment variables are read
     /// then and override `config()` for this call only. A field outside
-    /// its domain (grid_bins < 1; a negative iteration count, rrr_rounds,
-    /// maze window margin, dc_weight, dpa_weight or filler_ratio) throws
-    /// ConfigError (util/config_error.hpp) before any work.
+    /// its domain (grid_bins < 1; a negative iteration count,
+    /// stop_patience, rrr_rounds, maze window margin, weight, gamma decay,
+    /// growth, stop threshold, budget or margin; a gamma_frac or
+    /// gamma_min_frac that is not positive; NaN anywhere among the
+    /// fractional fields) throws ConfigError (util/config_error.hpp) before
+    /// any work.
     PlaceResult place(const Design& input) const;
 
     /// Append filler cells to a working copy (exposed for tests).

@@ -1,8 +1,10 @@
 #include "router/maze_route.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <queue>
 #include <vector>
@@ -12,6 +14,9 @@ namespace rdp {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Relative deflation of the goal-directed search's heuristic: the margin
+/// by which it stays consistent under rounding (DESIGN.md §17).
+constexpr double kSlack = 1e-9;
 
 /// One cell of a found path and the direction it was entered with
 /// (0 = horizontal, 1 = vertical), in grid coordinates.
@@ -161,138 +166,212 @@ std::optional<RoutePath> bucket_route(int x0, int y0, int x1, int y1,
     // Padded layout: window cell (x, y) is
     // c = (y - win.y0 + 1) * W + (x - win.x0 + 1), and its nodes are 2c
     // (entered horizontally) and 2c + 1 (vertically). The one-cell border
-    // costs +inf, so no relaxation ever enters it.
+    // costs +inf, so no relaxation ever enters it. The same pass takes the
+    // minimum of cost_h in every column and of cost_v in every row.
     const int W = w + 2;
-    const size_t nodes = 2 * static_cast<size_t>(W) * (h + 2);
-    std::vector<double> cost(nodes, kInf);
-    double lo = kInf, hi = 0.0;
+    const size_t cells = static_cast<size_t>(W) * (h + 2);
+    const size_t nodes = 2 * cells;
+    // One block holds every per-call array of doubles; each is sized by
+    // the window (DESIGN.md §17, Memory).
+    auto block = std::make_unique_for_overwrite<double[]>(2 * nodes + cells +
+                                                          2 * (w + h));
+    double* const cost = block.get();
+    double* const dist = cost + nodes;
+    double* const heur = dist + nodes;
+    double* const col_min = heur + cells;
+    double* const row_min = col_min + w;
+    double* const hx = row_min + h;
+    double* const hy = hx + w;
+    std::fill_n(cost, 2 * W, kInf);
+    std::fill_n(cost + nodes - 2 * W, 2 * W, kInf);
+    std::fill_n(dist, nodes, kInf);
+    std::fill_n(col_min, w, kInf);
+    bool valid = true;
+    double hi_h = 0.0, hi_v = 0.0;
     for (int y = 0; y < h; ++y) {
         const double* rh = &ch.at(win.x0, win.y0 + y);
         const double* rv = &cv.at(win.x0, win.y0 + y);
-        double* row = &cost[2 * static_cast<size_t>((y + 1) * W + 1)];
+        double* row = cost + 2 * ((y + 1) * W + 1);
+        row[-2] = row[-1] = row[2 * w] = row[2 * w + 1] = kInf;
+        double rmin = kInf;
         for (int x = 0; x < w; ++x) {
-            if (!(rh[x] > 0.0 && rh[x] < kInf && rv[x] > 0.0 && rv[x] < kInf))
-                return std::nullopt;
-            row[2 * x] = rh[x];
-            row[2 * x + 1] = rv[x];
-            lo = std::min({lo, rh[x], rv[x]});
-            hi = std::max({hi, rh[x], rv[x]});
+            const double a = rh[x], b = rv[x];
+            valid &= (a > 0.0) & (a < kInf) & (b > 0.0) & (b < kInf);
+            row[2 * x] = a;
+            row[2 * x + 1] = b;
+            col_min[x] = std::min(col_min[x], a);
+            rmin = std::min(rmin, b);
+            hi_h = std::max(hi_h, a);
+            hi_v = std::max(hi_v, b);
         }
+        row_min[y] = rmin;
+    }
+    if (!valid) return std::nullopt;
+    const double hi = std::max(hi_h, hi_v);
+    // The cheapest cell (col_min and row_min together cover every cost)
+    // and the dearest column or row minimum; the two arrays are adjacent.
+    const auto [min_it, max_it] = std::minmax_element(col_min, hx);
+    const double lo = *min_it, step_max = *max_it;
+
+    // Heuristic. A path from column x enters every column from x (not
+    // included) to the goal's (included) horizontally, paying at least that
+    // column's minimum, and every row likewise vertically; the two sums
+    // bound the rest of the path from below. Neighbouring cells' sums
+    // differ by one minimum, at most the entered cell's cost, so h is
+    // consistent. Sums run outward from the goal; h is deflated so that
+    // rounding cannot break consistency (DESIGN.md §17).
+    auto lower_bound_sums = [](double* sum, const double* mins, int n,
+                               int goal) {
+        sum[goal] = 0.0;
+        for (int i = goal - 1; i >= 0; --i) sum[i] = sum[i + 1] + mins[i + 1];
+        for (int i = goal + 1; i < n; ++i) sum[i] = sum[i - 1] + mins[i - 1];
+    };
+    lower_bound_sums(hx, col_min, w, x1 - win.x0);
+    lower_bound_sums(hy, row_min, h, y1 - win.y0);
+    // The border's entries are never read: no relaxation enters the border.
+    for (int y = 0; y < h; ++y) {
+        double* row = heur + (y + 1) * W + 1;
+        for (int x = 0; x < w; ++x) row[x] = (hx[x] + hy[y]) * (1.0 - kSlack);
     }
 
-    // Buckets are lo / 2 wide. Every step costs at least lo, so it lands at
-    // least one bucket past the one being drained, and a node's dist is
-    // final once its bucket is reached. Live entries span at most
-    // (hi + via) / width + 2 buckets; the ring holds that many, rounded up
-    // to a power of two.
+    // Keys are dist + h, in buckets lo / 2 wide. With h consistent a key
+    // never falls along an edge, so a relaxation lands in the bucket being
+    // drained or a later one, and rises by at most the step plus one
+    // minimum: live keys span (hi + via + step_max) / width + 2 buckets.
+    // The ring holds that many, rounded up to a power of two. It may have
+    // up to twice as many slots as the window has nodes: step_max <= hi,
+    // so every window whose plain Dijkstra ring ((hi + via) / width + 3
+    // slots) fits in the node count fits here too.
     const double inv_width = 2.0 / lo;
-    const double need = (hi + via) * inv_width + 3.0;
-    if (!(need <= 2.0 * w * h)) return std::nullopt;
+    const double need = (hi + via + step_max) * inv_width + 3.0;
+    if (!(need <= 4.0 * w * h)) return std::nullopt;
     int64_t ring = 1;
     while (static_cast<double>(ring) < need) ring *= 2;
     const int64_t mask = ring - 1;
-    auto bucket = [&](double d) { return static_cast<int64_t>(d * inv_width); };
 
-    std::vector<double> dist(nodes, kInf);
-    std::vector<int> parent(nodes), next(nodes), prev(nodes);
-    std::vector<int> head(static_cast<size_t>(ring), -1);
-    auto link = [&](int n, int64_t b) {
-        int& first = head[static_cast<size_t>(b & mask)];
+    // Each bucket is a doubly linked list threaded through per-node
+    // next/prev; a node is in at most one. prev == kPopped marks a node
+    // taken off the queue, which a later improvement links in again.
+    constexpr int kPopped = -2;
+    auto links = std::make_unique_for_overwrite<int[]>(2 * nodes + ring);
+    int* const next = links.get();
+    int* const prev = next + nodes;
+    int* const head = prev + nodes;
+    std::fill_n(head, ring, -1);
+    int64_t cur = 0;
+    size_t live = 0;
+
+    // Set n's dist to d and queue it. False only if the key falls outside
+    // the live ring, which consistency rules out; the caller then falls
+    // back rather than trust the argument.
+    auto enqueue = [&](int n, double d) {
+        const double q = (d + heur[n >> 1]) * inv_width;
+        if (!(q >= static_cast<double>(cur) &&
+              q < static_cast<double>(cur + ring)))
+            return false;
+        if (dist[n] < kInf && prev[n] != kPopped) {
+            // Queued: unlink it from the bucket its current key chose.
+            if (prev[n] >= 0)
+                next[prev[n]] = next[n];
+            else
+                head[static_cast<int64_t>((dist[n] + heur[n >> 1]) *
+                                          inv_width) &
+                     mask] = next[n];
+            if (next[n] >= 0) prev[next[n]] = prev[n];
+        } else {
+            ++live;
+        }
+        dist[n] = d;
+        int& first = head[static_cast<int64_t>(q) & mask];
         next[n] = first;
         prev[n] = -1;
         if (first >= 0) prev[first] = n;
         first = n;
-    };
-    auto unlink = [&](int n) {
-        if (prev[n] >= 0)
-            next[prev[n]] = next[n];
-        else
-            head[static_cast<size_t>(bucket(dist[n]) & mask)] = next[n];
-        if (next[n] >= 0) prev[next[n]] = prev[n];
+        return true;
     };
 
     auto cell = [&](int x, int y) {
         return (y - win.y0 + 1) * W + (x - win.x0 + 1);
     };
     const int goal_cell = cell(x1, y1);
-    int64_t cur = std::numeric_limits<int64_t>::max();
-    for (int dir = 0; dir < 2; ++dir) {
-        const int s = 2 * cell(x0, y0) + dir;
-        dist[s] = cost[s];
-        parent[s] = -1;
-        link(s, bucket(dist[s]));
-        cur = std::min(cur, bucket(dist[s]));
-    }
-    int queued = 2;
+    const int s0 = 2 * cell(x0, y0);
+    const double q0 =
+        (std::min(cost[s0], cost[s0 + 1]) + heur[s0 >> 1]) * inv_width;
+    if (!(q0 < 0x1p62)) return std::nullopt;
+    cur = static_cast<int64_t>(q0);
+    if (!enqueue(s0, cost[s0]) || !enqueue(s0 + 1, cost[s0 + 1]))
+        return std::nullopt;
 
-    // Decrease-key of nn to nd, reached from u. False only if nd falls
-    // outside the live ring, which the bucket width rules out; the caller
-    // then falls back rather than trust the argument.
-    auto relax = [&](int u, int nn, double nd) {
-        if (!(nd < dist[nn])) return true;
-        const int64_t b = bucket(nd);
-        if (b <= cur || b - cur >= ring) return false;
-        if (dist[nn] < kInf)
-            unlink(nn);
-        else
-            ++queued;
-        dist[nn] = nd;
-        parent[nn] = u;
-        link(nn, b);
-        return true;
-    };
-
-    int goal = -1;
-    while (queued > 0) {
-        int u;
-        while ((u = head[static_cast<size_t>(cur & mask)]) < 0) ++cur;
-        head[static_cast<size_t>(cur & mask)] = next[u];
-        if (next[u] >= 0) prev[next[u]] = -1;
-        --queued;
-        const int c = u >> 1;
-        if (c == goal_cell) {
-            goal = u;
-            break;
+    // Drain every bucket up to the best goal dist's (h is 0 at the goal).
+    // Goal nodes are not expanded: the heap search stops at its first one.
+    const int g0 = 2 * goal_cell, g1 = g0 + 1;
+    while (live > 0) {
+        int& first = head[cur & mask];
+        if (first < 0) {
+            const double best = std::min(dist[g0], dist[g1]);
+            if (best < kInf &&
+                static_cast<double>(cur) >= std::floor(best * inv_width))
+                break;
+            ++cur;
+            continue;
         }
+        const int u = first;
+        first = next[u];
+        if (first >= 0) prev[first] = -1;
+        prev[u] = kPopped;
+        --live;
+        const int c = u >> 1;
+        if (c == goal_cell) continue;
         // Same expression as heap_route: dist + (cell cost + turn via).
         const double du = dist[u];
         const double via_h = (u & 1) ? via : 0.0;
         const double via_v = (u & 1) ? 0.0 : via;
         const int east = 2 * (c + 1), west = 2 * (c - 1);
         const int north = 2 * (c + W) + 1, south = 2 * (c - W) + 1;
-        if (!relax(u, east, du + (cost[east] + via_h)) ||
-            !relax(u, west, du + (cost[west] + via_h)) ||
-            !relax(u, north, du + (cost[north] + via_v)) ||
-            !relax(u, south, du + (cost[south] + via_v)))
+        auto relax = [&](int nn, double nd) {
+            return !(nd < dist[nn]) || enqueue(nn, nd);
+        };
+        if (!relax(east, du + (cost[east] + via_h)) ||
+            !relax(west, du + (cost[west] + via_h)) ||
+            !relax(north, du + (cost[north] + via_v)) ||
+            !relax(south, du + (cost[south] + via_v)))
             return std::nullopt;
     }
-    if (goal < 0) return std::nullopt;
 
     // The heap search stops at whichever goal node it pops first: the one
-    // with the smaller dist, unless they tie. The other goal node is final
-    // too if it sits in the current bucket; otherwise even its final dist
-    // lies beyond this bucket, so no draining is needed to compare them.
-    const int other = goal ^ 1;
-    if (dist[other] == dist[goal]) return std::nullopt;
-    if (dist[other] < dist[goal]) goal = other;
+    // with the smaller dist, unless they tie. Both are final here if their
+    // bucket was drained, and otherwise lie beyond the best one's bucket.
+    if (dist[g0] == dist[g1]) return std::nullopt;
+    const int goal = dist[g0] < dist[g1] ? g0 : g1;
+    // The consistency margin must exceed the rounding of keys this large.
+    if (!(kSlack * lo > 0x1p-48 * (dist[goal] + 2.0 * (hi + via + lo))))
+        return std::nullopt;
 
-    // Tie certificate. The heap search gives node n the first-popped
-    // predecessor q with dist[q] + step(q, n) == dist[n]; every such q has
-    // a smaller dist than n, so both searches have finalised it, with the
-    // same value. If exactly one predecessor matches, both searches chose
-    // it, whatever their pop order.
+    // Tie certificate, which also walks the path back. The heap search
+    // gives node n the first-popped predecessor q with
+    // dist[q] + step(q, n) == dist[n]; every such q has a key no larger
+    // than n's, so both searches have finalised it, with the same value,
+    // and a predecessor that was never expanded cannot match. If exactly
+    // one predecessor matches, the heap search chose it, whatever its pop
+    // order, and the walk steps to it. Both start nodes are seeds without
+    // a predecessor, so the walk ends in the start cell.
+    const int start_cell = s0 >> 1;
     std::vector<Step> steps;
-    for (int n = goal;; n = parent[n]) {
+    for (int n = goal;;) {
         const int c = n >> 1, d = n & 1;
         steps.push_back({{win.x0 + c % W - 1, win.y0 + c / W - 1}, d});
-        if (parent[n] < 0) break;
+        if (c == start_cell) break;
         const int a = 2 * (d ? c - W : c - 1), b = 2 * (d ? c + W : c + 1);
-        const double straight = cost[n], turn = cost[n] + via;
-        const int matches = (dist[a + d] + straight == dist[n]) +
-                            (dist[a + 1 - d] + turn == dist[n]) +
-                            (dist[b + d] + straight == dist[n]) +
-                            (dist[b + 1 - d] + turn == dist[n]);
+        const double dn = dist[n], straight = cost[n], turn = cost[n] + via;
+        int matches = 0, from = -1;
+        for (const int q : {a + d, b + d, a + 1 - d, b + 1 - d}) {
+            if (dist[q] + ((q & 1) == d ? straight : turn) == dn) {
+                ++matches;
+                from = q;
+            }
+        }
         if (matches != 1) return std::nullopt;
+        n = from;
     }
     return merge_runs(steps);
 }

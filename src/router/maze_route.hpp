@@ -1,10 +1,11 @@
 #pragma once
-// Maze (Dijkstra) routing fallback. Pattern routing explores only L and Z
-// shapes; when a connection still overflows after rip-up-and-reroute, the
-// router escalates to a full shortest-path search on the same directional
-// cost grids (plus the via cost at every turn), restricted to a window
-// around the connection. This mirrors the pattern→maze escalation of
-// production global routers.
+// Maze (shortest-path) routing fallback. Pattern routing explores only L
+// and Z shapes; when a connection still overflows after rip-up-and-reroute,
+// the router escalates to a full shortest-path search on the same
+// directional cost grids (plus the via cost at every turn), restricted to a
+// window around the connection. This mirrors the pattern→maze escalation
+// of production global routers. The search is goal-directed (A*), and its
+// answer is certified per call against a binary-heap Dijkstra search.
 
 #include <algorithm>
 #include <optional>
@@ -48,8 +49,8 @@ CellWindow maze_window(int x0, int y0, int x1, int y1, int nx, int ny,
 /// to the window, with maze_window's precondition. With a non-negative
 /// margin the window is a rectangle holding both endpoints, so the path is
 /// never empty. The result is exactly maze_detail::heap_route's, ties
-/// included: the bucket-queue search answers when it can certify that, and
-/// the heap search answers otherwise (DESIGN.md §17).
+/// included: the goal-directed bucket-queue search answers when it can
+/// certify that, and the heap search answers otherwise (DESIGN.md §17).
 RoutePath maze_route(int x0, int y0, int x1, int y1, const RouteCostModel& m,
                      const MazeConfig& cfg = {});
 
@@ -61,12 +62,18 @@ namespace maze_detail {
 RoutePath heap_route(int x0, int y0, int x1, int y1, const RouteCostModel& m,
                      const MazeConfig& cfg);
 
-/// Dial bucket-queue search over the same nodes. Returns heap_route's path,
-/// or std::nullopt when it cannot prove that: a window cost that is not
-/// positive and finite, a negative or non-finite via cost, a cost ratio
-/// that needs more ring buckets than the window has nodes, or a tie that
-/// the heap's pop order would break (two goal directions at equal cost, or
-/// a path node with two predecessors at its cost).
+/// Goal-directed (A*) bucket-queue search over the same nodes, keyed by
+/// dist + h, where h sums the window's per-column minima of cost_h and
+/// per-row minima of cost_v between a cell and the goal. Returns
+/// heap_route's path, or std::nullopt when it cannot prove that: a window
+/// cost that is not positive and finite; a negative or non-finite via
+/// cost; a cost ratio whose key span, (hi + via + largest minimum) /
+/// (lo / 2) + 3 buckets, exceeds twice the window's node count; a key
+/// outside the live ring, below the bucket being drained included; a goal
+/// dist too large for the heuristic's consistency margin to cover its
+/// rounding; or a tie that the heap's pop order would break (two goal
+/// directions at equal cost, or a path node with two predecessors at its
+/// cost).
 std::optional<RoutePath> bucket_route(int x0, int y0, int x1, int y1,
                                       const RouteCostModel& m,
                                       const MazeConfig& cfg);

@@ -33,4 +33,13 @@ inline void require_at_least(const std::string& field, double value,
     throw ConfigError(field, msg.str());
 }
 
+/// Throws ConfigError unless value > 0 (NaN fails too): for a value that
+/// divides, or bounds a divisor from below.
+inline void require_positive(const std::string& field, double value) {
+    if (value > 0.0) return;
+    std::ostringstream msg;
+    msg << "must be > 0, got " << value;
+    throw ConfigError(field, msg.str());
+}
+
 }  // namespace rdp

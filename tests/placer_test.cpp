@@ -205,6 +205,7 @@ TEST(RoutabilityStageTest, StandaloneRunImprovesOrHoldsOverflow) {
 
 TEST(ConfigValidationTest, PlaceRejectsOutOfDomainFields) {
     const Design d = generate_circuit(small_cfg());
+    static constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
     struct Case {
         const char* field;
         void (*apply)(PlacerConfig&);
@@ -222,12 +223,52 @@ TEST(ConfigValidationTest, PlaceRejectsOutOfDomainFields) {
         {"router.rrr_rounds",
          [](PlacerConfig& c) { c.router.rrr_rounds = -1; }},
         {"dc_weight", [](PlacerConfig& c) { c.dc_weight = -0.1; }},
-        {"dc_weight",
-         [](PlacerConfig& c) {
-             c.dc_weight = std::numeric_limits<double>::quiet_NaN();
-         }},
+        {"dc_weight", [](PlacerConfig& c) { c.dc_weight = kNaN; }},
         {"dpa_weight", [](PlacerConfig& c) { c.dpa_weight = -0.1; }},
         {"filler_ratio", [](PlacerConfig& c) { c.filler_ratio = -0.5; }},
+        // Unchecked, a zero or NaN gamma trips the finite-gradients audit;
+        // a negative one is run as given.
+        {"gamma_frac", [](PlacerConfig& c) { c.gamma_frac = 0.0; }},
+        {"gamma_frac", [](PlacerConfig& c) { c.gamma_frac = -1.0; }},
+        {"gamma_frac", [](PlacerConfig& c) { c.gamma_frac = kNaN; }},
+        // Unchecked, all three are accepted silently (the floor of gamma).
+        {"gamma_min_frac", [](PlacerConfig& c) { c.gamma_min_frac = 0.0; }},
+        {"gamma_min_frac", [](PlacerConfig& c) { c.gamma_min_frac = -1.0; }},
+        {"gamma_min_frac", [](PlacerConfig& c) { c.gamma_min_frac = kNaN; }},
+        // Unchecked, NaN makes the recovery layer degrade stage 1; -1 runs
+        // with gamma at its floor.
+        {"gamma_decay", [](PlacerConfig& c) { c.gamma_decay = -1.0; }},
+        {"gamma_decay", [](PlacerConfig& c) { c.gamma_decay = kNaN; }},
+        // Unchecked, NaN degrades the routability stage; -1 runs to a 3x
+        // larger HPWL.
+        {"lambda1_growth", [](PlacerConfig& c) { c.lambda1_growth = -1.0; }},
+        {"lambda1_growth", [](PlacerConfig& c) { c.lambda1_growth = kNaN; }},
+        // Unchecked, both silently disable the early stop.
+        {"stop_overflow", [](PlacerConfig& c) { c.stop_overflow = -1.0; }},
+        {"stop_overflow", [](PlacerConfig& c) { c.stop_overflow = kNaN; }},
+        {"stop_patience", [](PlacerConfig& c) { c.stop_patience = -1; }},
+        // Unchecked, -1 is a corrupted budget the recovery layer degrades;
+        // NaN is accepted silently.
+        {"inflation_budget_frac",
+         [](PlacerConfig& c) { c.inflation_budget_frac = -1.0; }},
+        {"inflation_budget_frac",
+         [](PlacerConfig& c) { c.inflation_budget_frac = kNaN; }},
+        // Unchecked, NaN never replaces the kept-best snapshot.
+        {"keep_best_margin",
+         [](PlacerConfig& c) { c.keep_best_margin = -1.0; }},
+        {"keep_best_margin",
+         [](PlacerConfig& c) { c.keep_best_margin = kNaN; }},
+        // Unchecked, both make the recovery layer step in.
+        {"route_lambda1_boost",
+         [](PlacerConfig& c) { c.route_lambda1_boost = -1.0; }},
+        {"route_lambda1_boost",
+         [](PlacerConfig& c) { c.route_lambda1_boost = kNaN; }},
+        // Unchecked (RouteBaseline mode), -1 corrupts the budget and NaN
+        // the density mass.
+        {"static_pg_weight",
+         [](PlacerConfig& c) { c.static_pg_weight = -1.0; }},
+        {"static_pg_weight",
+         [](PlacerConfig& c) { c.static_pg_weight = kNaN; }},
     };
     for (const Case& c : cases) {
         PlacerConfig cfg = fast_cfg(PlacerMode::Ours);

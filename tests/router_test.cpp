@@ -9,6 +9,7 @@
 #include <optional>
 
 #include "benchgen/generator.hpp"
+#include "benchgen/ispd_suite.hpp"
 #include "router/global_router.hpp"
 #include "router/layer_assign.hpp"
 #include "router/maze_route.hpp"
@@ -543,6 +544,121 @@ TEST_F(MazeEquivalenceTest, NonPositiveOrNonFiniteCostFallsBack) {
     cv.at(5, 5) = 2.0;
     const RouteCostModel negative_via{&ch, &cv, -0.5};
     EXPECT_FALSE(maze_detail::bucket_route(2, 2, 9, 9, negative_via, {}));
+}
+
+TEST_F(MazeEquivalenceTest, CheapCorridorBesideACostlyBoundingBox) {
+    // The endpoints' bounding box is dear and the margin rows and columns
+    // around it are cheap, so every column and row minimum comes from the
+    // margin: the heuristic is as loose as it gets inside the box, and the
+    // best path leaves the box for the corridor.
+    Rng rng(137);
+    GridF ch(40, 40), cv(40, 40);
+    for (int field = 0; field < 6; ++field) {
+        const int x0 = rng.uniform_int(10, 16), y0 = rng.uniform_int(10, 16);
+        const int x1 = rng.uniform_int(23, 29), y1 = rng.uniform_int(23, 29);
+        for (int y = 0; y < 40; ++y)
+            for (int x = 0; x < 40; ++x) {
+                const bool box = x >= x0 && x <= x1 && y >= y0 && y <= y1;
+                const double lo = box ? 6.0 : 1.0, hi = box ? 9.0 : 1.2;
+                ch.at(x, y) = rng.uniform(lo, hi);
+                cv.at(x, y) = rng.uniform(lo, hi);
+            }
+        expect_exact(ch, cv, 1.0, x0, y0, x1, y1);
+        expect_exact(ch, cv, 1.0, x1, y0, x0, y1);
+        expect_exact(ch, cv, 1.0, x0, y1, x1, y0);
+        expect_exact(ch, cv, 1.0, x1, y1, x0, y0);
+    }
+    EXPECT_GT(certified_, 0);
+}
+
+TEST_F(MazeEquivalenceTest, GoalOnTheWindowBorder) {
+    // Goals on a grid edge (the window clamps there) and, with margin 0,
+    // goals on a corner of the endpoints' bounding box.
+    Rng rng(139);
+    GridF ch(30, 26), cv(30, 26);
+    for (auto& v : ch) v = rng.uniform(1.0, 5.0);
+    for (auto& v : cv) v = rng.uniform(1.0, 5.0);
+    MazeConfig zero;
+    zero.window_margin = 0;
+    for (int t = 0; t < 12; ++t) {
+        const int sx = rng.uniform_int(5, 24), sy = rng.uniform_int(5, 20);
+        expect_exact(ch, cv, 1.0, sx, sy, 0, rng.uniform_int(0, 25));
+        expect_exact(ch, cv, 1.0, sx, sy, 29, rng.uniform_int(0, 25));
+        expect_exact(ch, cv, 1.0, sx, sy, rng.uniform_int(0, 29), 0);
+        expect_exact(ch, cv, 1.0, sx, sy, rng.uniform_int(0, 29), 25);
+        expect_exact(ch, cv, 1.0, sx, sy, rng.uniform_int(0, 29),
+                     rng.uniform_int(0, 25), zero);
+    }
+    EXPECT_GT(certified_, 0);
+}
+
+TEST_F(MazeEquivalenceTest, UniformCostsWhereTheHeuristicIsExact) {
+    // On a uniform field every column and row minimum is the cell cost, so
+    // h is the exact remaining wire cost; every monotone path to the goal
+    // ties unless one straight run reaches it. With a free via the tied
+    // paths are staircases, and the two searches' pop orders disagree on
+    // most of them: only the tie certificate keeps the answers equal.
+    Rng rng(149);
+    for (const double via : {1.0, 0.0})
+        for (const double c : {1.0, 2.5}) {
+            GridF ch(32, 28, c), cv(32, 28, c);
+            for (int t = 0; t < 30; ++t)
+                expect_exact(ch, cv, via, rng.uniform_int(0, 31),
+                             rng.uniform_int(0, 27), rng.uniform_int(0, 31),
+                             rng.uniform_int(0, 27));
+            // Straight runs have a single best path.
+            for (int t = 0; t < 8; ++t) {
+                const int y = rng.uniform_int(0, 27);
+                const int x = rng.uniform_int(0, 31);
+                expect_exact(ch, cv, via, rng.uniform_int(0, 31), y,
+                             rng.uniform_int(0, 31), y);
+                expect_exact(ch, cv, via, x, rng.uniform_int(0, 27), x,
+                             rng.uniform_int(0, 27));
+            }
+        }
+    EXPECT_GT(certified_, 0);
+    EXPECT_GT(fell_back_, 0);
+}
+
+TEST_F(MazeEquivalenceTest, WallBesideAnEndpointWithOneGap) {
+    // A dear wall one cell from the start or the goal, with one gap: the
+    // heuristic points straight through the wall, and the path must turn
+    // along it first.
+    Rng rng(151);
+    GridF ch(36, 30), cv(36, 30);
+    for (int field = 0; field < 8; ++field) {
+        for (auto& v : ch) v = rng.uniform(1.0, 2.0);
+        for (auto& v : cv) v = rng.uniform(1.0, 2.0);
+        const int sx = rng.uniform_int(6, 12), sy = rng.uniform_int(4, 25);
+        const int gx = rng.uniform_int(22, 30), gy = rng.uniform_int(4, 25);
+        const int wall = field % 2 == 0 ? sx + 1 : gx - 1;
+        const int gap = rng.uniform_int(0, 29);
+        for (int y = 0; y < 30; ++y) {
+            if (y == gap) continue;
+            ch.at(wall, y) = 50.0;
+            cv.at(wall, y) = 50.0;
+        }
+        expect_exact(ch, cv, 1.0, sx, sy, gx, gy);
+        expect_exact(ch, cv, 1.0, gx, gy, sx, sy);
+    }
+    EXPECT_GT(certified_, 0);
+}
+
+TEST_F(MazeEquivalenceTest, RouterCostFieldsOfASuiteDesign) {
+    // The cost fields the router leaves after its last rip-up-and-reroute
+    // round, history included, with its own via cost and window margin:
+    // every connection of the design is searched on them.
+    const SuiteEntry e = suite_entry("fft_1", 0.25);
+    const Design d = generate_circuit(e.gen);
+    const RouterConfig rc;
+    IncrementalRouteState state;
+    GlobalRouter(BinGrid(d.region, e.grid_bins, e.grid_bins), rc)
+        .route(d, &state);
+    const RouterScratch& s = state.scratch;
+    ASSERT_GT(s.conns.size(), 100u);
+    for (const RouteConn& c : s.conns)
+        expect_exact(s.cost_h, s.cost_v, 1.0, c.ax, c.ay, c.bx, c.by, rc.maze);
+    EXPECT_GE(certified_, 0.99 * static_cast<double>(certified_ + fell_back_));
 }
 
 TEST(GlobalRouterTest, MazeFallbackReducesOverflow) {
