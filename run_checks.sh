@@ -32,7 +32,10 @@
 #                        simd (vector backends / stable_exp / kernel
 #                        equivalence), and ctest -L persist (durable
 #                        checkpoint format + crash/resume kill-point
-#                        matrix, router and RUDY congestion, DESIGN.md §16)
+#                        matrix, router and RUDY congestion, DESIGN.md §16),
+#                        and ctest -L parse (the streaming design reader
+#                        against the iostream oracle on 10,000 seeded
+#                        mutants, DESIGN.md §18)
 #                        The default build also runs ctest -L golden
 #                        (pinned end-to-end output digests) and ctest -L
 #                        bench (bench_e2e smoke: the traced link against
@@ -124,6 +127,7 @@ if cmake -B build-checks -S . -DRDP_WERROR=ON >/dev/null &&
     require_label build-checks persist
     require_label build-checks golden
     require_label build-checks bench
+    require_label build-checks parse
     if ! ctest --test-dir build-checks --output-on-failure -j "$JOBS"; then
         record_failure "default ctest"
     fi
@@ -299,6 +303,17 @@ if [[ "$FAST" == 0 ]]; then
         if ! ctest --test-dir build-san-address-undefined -L persist \
                    --output-on-failure -j "$JOBS"; then
             record_failure "durable checkpointing (asan+ubsan)"
+        fi
+    fi
+
+    # The design reader under ASan+UBSan: a streaming tokenizer over a
+    # refilled buffer, fed truncated, flipped and oversized lines by the
+    # seeded mutation harness, is exactly where a read runs past a line.
+    note "design reader under ASan+UBSan (ctest -L parse)"
+    if require_label build-san-address-undefined parse; then
+        if ! ctest --test-dir build-san-address-undefined -L parse \
+                   --output-on-failure -j "$JOBS"; then
+            record_failure "design reader (asan+ubsan)"
         fi
     fi
 

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstddef>
 
+#include "legal/tetris.hpp"
+
 namespace rdp::audit {
 
 namespace {
@@ -266,87 +268,8 @@ void check_legalized(const Design& d, double eps) {
     if (!audit_enabled()) return;
     note_run("legalized");
 
-    for (int i = 0; i < d.num_cells(); ++i) {
-        const Cell& c = d.cells[static_cast<size_t>(i)];
-        if (!c.movable()) continue;
-        const Rect b = c.bbox();
-        if (b.lx < d.region.lx - eps || b.hx > d.region.hx + eps ||
-            b.ly < d.region.ly - eps || b.hy > d.region.hy + eps) {
-            std::ostringstream oss;
-            oss << "cell " << i << " ('" << c.name << "') leaves the region: ["
-                << b.lx << ", " << b.ly << ", " << b.hx << ", " << b.hy << "]";
-            fail("legalized", oss.str());
-        }
-        const double row_rel = (b.ly - d.region.ly) / d.row_height;
-        if (std::abs(row_rel - std::round(row_rel)) > 1e-4) {
-            std::ostringstream oss;
-            oss << "cell " << i << " ('" << c.name << "') is not row-aligned:"
-                << " bottom edge " << b.ly << " (row height " << d.row_height
-                << ")";
-            fail("legalized", oss.str());
-        }
-        const double site_rel = (b.lx - d.region.lx) / d.site_width;
-        if (std::abs(site_rel - std::round(site_rel)) > 1e-4) {
-            std::ostringstream oss;
-            oss << "cell " << i << " ('" << c.name << "') is not site-aligned:"
-                << " left edge " << b.lx << " (site width " << d.site_width
-                << ")";
-            fail("legalized", oss.str());
-        }
-    }
-
-    // Overlaps via a row-bucketed sweep (mirrors legal/tetris.cpp is_legal,
-    // but reports the offending pair).
-    const size_t nrows = d.rows.size();
-    std::vector<std::vector<int>> by_row(nrows);
-    for (int i = 0; i < d.num_cells(); ++i) {
-        const Cell& c = d.cells[static_cast<size_t>(i)];
-        if (!c.movable()) continue;
-        const int r = static_cast<int>(
-            std::round((c.bbox().ly - d.region.ly) / d.row_height));
-        if (r < 0 || r >= static_cast<int>(nrows)) {
-            std::ostringstream oss;
-            oss << "cell " << i << " ('" << c.name << "') sits outside the "
-                << nrows << " rows (row index " << r << ")";
-            fail("legalized", oss.str());
-        }
-        by_row[static_cast<size_t>(r)].push_back(i);
-    }
-    for (auto& row : by_row) {
-        std::sort(row.begin(), row.end(), [&](int a, int b) {
-            return d.cells[static_cast<size_t>(a)].bbox().lx <
-                   d.cells[static_cast<size_t>(b)].bbox().lx;
-        });
-        for (size_t i = 0; i + 1 < row.size(); ++i) {
-            const Rect a = d.cells[static_cast<size_t>(row[i])].bbox();
-            const Rect b = d.cells[static_cast<size_t>(row[i + 1])].bbox();
-            if (a.hx > b.lx + eps) {
-                std::ostringstream oss;
-                oss << "cells " << row[i] << " ('"
-                    << d.cells[static_cast<size_t>(row[i])].name << "') and "
-                    << row[i + 1] << " ('"
-                    << d.cells[static_cast<size_t>(row[i + 1])].name
-                    << "') overlap in a row by " << a.hx - b.lx;
-                fail("legalized", oss.str());
-            }
-        }
-        for (int ci : row) {
-            const Rect b =
-                d.cells[static_cast<size_t>(ci)].bbox().expanded(-eps);
-            if (b.empty()) continue;
-            for (int fi = 0; fi < d.num_cells(); ++fi) {
-                const Cell& f = d.cells[static_cast<size_t>(fi)];
-                if (f.movable()) continue;
-                if (!b.intersects(f.bbox())) continue;
-                std::ostringstream oss;
-                oss << "cell " << ci << " ('"
-                    << d.cells[static_cast<size_t>(ci)].name
-                    << "') overlaps fixed cell " << fi << " ('" << f.name
-                    << "')";
-                fail("legalized", oss.str());
-            }
-        }
-    }
+    if (const std::string v = legality_violation(d, eps); !v.empty())
+        fail("legalized", v);
 }
 
 }  // namespace rdp::audit

@@ -41,9 +41,11 @@ private:
 void write_design(const Design& d, std::ostream& os);
 void write_design_file(const Design& d, const std::string& path);
 
-/// Parses a design; throws ParseError naming the offending line on any
-/// malformed input: unknown directives, missing or trailing fields,
-/// non-finite numbers, non-positive dimensions, inverted regions,
+/// Parses a design in one pass through a fixed 64 KiB read buffer; numbers
+/// follow the C-locale operator>> syntax (DESIGN.md §18). Throws
+/// ParseError naming the offending line on any malformed input: unknown
+/// directives, missing fields or trailing pin-list garbage, non-finite or
+/// overflowing numbers, non-positive dimensions, inverted regions,
 /// out-of-range cell/pin indices, and doubly-connected pins.
 Design read_design(std::istream& is);
 Design read_design_file(const std::string& path);

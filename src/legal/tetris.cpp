@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <sstream>
 
 namespace rdp {
 
@@ -255,29 +256,61 @@ LegalizeStats tetris_legalize(Design& d, const TetrisConfig& cfg) {
     return stats;
 }
 
-bool is_legal(const Design& d, double eps) {
+std::string legality_violation(const Design& d, double eps) {
+    std::ostringstream oss;
     // Site/row alignment and containment.
-    for (const Cell& c : d.cells) {
-        if (!c.movable()) continue;
-        const Rect b = c.bbox();
-        if (b.lx < d.region.lx - eps || b.hx > d.region.hx + eps ||
-            b.ly < d.region.ly - eps || b.hy > d.region.hy + eps)
-            return false;
-        const double row_rel = (b.ly - d.region.ly) / d.row_height;
-        if (std::abs(row_rel - std::round(row_rel)) > 1e-4) return false;
-        const double site_rel = (b.lx - d.region.lx) / d.site_width;
-        if (std::abs(site_rel - std::round(site_rel)) > 1e-4) return false;
-    }
-    // Overlaps via row-bucketed sweep.
-    std::vector<std::vector<int>> by_row(d.rows.size());
     for (int i = 0; i < d.num_cells(); ++i) {
         const Cell& c = d.cells[static_cast<size_t>(i)];
         if (!c.movable()) continue;
+        const Rect b = c.bbox();
+        if (b.lx < d.region.lx - eps || b.hx > d.region.hx + eps ||
+            b.ly < d.region.ly - eps || b.hy > d.region.hy + eps) {
+            oss << "cell " << i << " ('" << c.name << "') leaves the region: ["
+                << b.lx << ", " << b.ly << ", " << b.hx << ", " << b.hy << "]";
+            return oss.str();
+        }
+        const double row_rel = (b.ly - d.region.ly) / d.row_height;
+        if (std::abs(row_rel - std::round(row_rel)) > 1e-4) {
+            oss << "cell " << i << " ('" << c.name << "') is not row-aligned:"
+                << " bottom edge " << b.ly << " (row height " << d.row_height
+                << ")";
+            return oss.str();
+        }
+        const double site_rel = (b.lx - d.region.lx) / d.site_width;
+        if (std::abs(site_rel - std::round(site_rel)) > 1e-4) {
+            oss << "cell " << i << " ('" << c.name << "') is not site-aligned:"
+                << " left edge " << b.lx << " (site width " << d.site_width
+                << ")";
+            return oss.str();
+        }
+    }
+
+    // Overlaps via a row-bucketed sweep.
+    const size_t nrows = d.rows.size();
+    std::vector<std::vector<int>> by_row(nrows);
+    // The fixed cells, collected once in index order, so the first
+    // offending pair is the one a scan over every cell would find.
+    std::vector<int> fixed;
+    for (int i = 0; i < d.num_cells(); ++i) {
+        const Cell& c = d.cells[static_cast<size_t>(i)];
+        if (!c.movable()) {
+            fixed.push_back(i);
+            continue;
+        }
         const int r = static_cast<int>(
             std::round((c.bbox().ly - d.region.ly) / d.row_height));
-        if (r < 0 || r >= static_cast<int>(by_row.size())) return false;
+        if (r < 0 || r >= static_cast<int>(nrows)) {
+            oss << "cell " << i << " ('" << c.name << "') sits outside the "
+                << nrows << " rows (row index " << r << ")";
+            return oss.str();
+        }
         by_row[static_cast<size_t>(r)].push_back(i);
     }
+    std::vector<Rect> fixed_box;
+    fixed_box.reserve(fixed.size());
+    for (int fi : fixed)
+        fixed_box.push_back(d.cells[static_cast<size_t>(fi)].bbox());
+
     for (auto& row : by_row) {
         std::sort(row.begin(), row.end(), [&](int a, int b) {
             return d.cells[static_cast<size_t>(a)].bbox().lx <
@@ -286,20 +319,34 @@ bool is_legal(const Design& d, double eps) {
         for (size_t i = 0; i + 1 < row.size(); ++i) {
             const Rect a = d.cells[static_cast<size_t>(row[i])].bbox();
             const Rect b = d.cells[static_cast<size_t>(row[i + 1])].bbox();
-            if (a.hx > b.lx + eps) return false;
+            if (a.hx > b.lx + eps) {
+                oss << "cells " << row[i] << " ('"
+                    << d.cells[static_cast<size_t>(row[i])].name << "') and "
+                    << row[i + 1] << " ('"
+                    << d.cells[static_cast<size_t>(row[i + 1])].name
+                    << "') overlap in a row by " << a.hx - b.lx;
+                return oss.str();
+            }
         }
-        // Overlap with fixed cells.
         for (int ci : row) {
             const Rect b =
                 d.cells[static_cast<size_t>(ci)].bbox().expanded(-eps);
             if (b.empty()) continue;
-            for (const Cell& f : d.cells) {
-                if (f.movable()) continue;
-                if (b.intersects(f.bbox())) return false;
+            for (size_t k = 0; k < fixed.size(); ++k) {
+                if (!b.intersects(fixed_box[k])) continue;
+                oss << "cell " << ci << " ('"
+                    << d.cells[static_cast<size_t>(ci)].name
+                    << "') overlaps fixed cell " << fixed[k] << " ('"
+                    << d.cells[static_cast<size_t>(fixed[k])].name << "')";
+                return oss.str();
             }
         }
     }
-    return true;
+    return {};
+}
+
+bool is_legal(const Design& d, double eps) {
+    return legality_violation(d, eps).empty();
 }
 
 }  // namespace rdp

@@ -5,6 +5,7 @@
 // and macros. This is the classic fast legalizer used after electrostatic
 // global placement; Abacus (abacus.hpp) then refines each row.
 
+#include <string>
 #include <vector>
 
 #include "db/design.hpp"
@@ -29,8 +30,13 @@ struct LegalizeStats {
 /// row height (single-row standard cells). Returns displacement statistics.
 LegalizeStats tetris_legalize(Design& d, const TetrisConfig& cfg = {});
 
-/// True if no two movable cells overlap and every movable cell sits on a
-/// row and site boundary inside the region (tolerance `eps`).
+/// The first legality violation, in words; empty when every movable cell
+/// sits on a row and site boundary inside the region (tolerance `eps`) and
+/// overlaps no other movable cell and no fixed cell or macro. Cells are
+/// checked in index order, rows bottom-up, and each row left to right.
+std::string legality_violation(const Design& d, double eps = 1e-6);
+
+/// True if legality_violation finds nothing.
 bool is_legal(const Design& d, double eps = 1e-6);
 
 }  // namespace rdp

@@ -76,6 +76,47 @@ PlacerConfig resolve_run_config(PlacerConfig cfg) {
     return cfg;
 }
 
+/// The nested stage configs. Unchecked, a NaN target density degrades
+/// stage 1 to 0 iterations and -1 or 0 disables its early stop; a NaN MCI
+/// alpha or gain trips the inflation-budget audit and degrades stage 2; an
+/// MCI r_max below r_min breaks std::clamp's precondition; a negative or
+/// NaN Tetris vertical weight, net-moving distance scale or threshold, or
+/// rail-selection fraction is run as given, and a negative pass count or
+/// search radius is read as 0.
+void validate_stage_configs(const PlacerConfig& cfg) {
+    require_positive("density.target_density", cfg.density.target_density);
+    require_at_most("density.target_density", cfg.density.target_density,
+                    1.0);
+    require_at_least("dp.max_passes", cfg.dp.max_passes, 0);
+    require_at_least("dp.min_improvement", cfg.dp.min_improvement, 0.0);
+    require_at_least("tetris.row_search_radius", cfg.tetris.row_search_radius,
+                     0);
+    require_at_least("tetris.vertical_weight", cfg.tetris.vertical_weight, 0.0);
+    require_positive("mci.r_min", cfg.mci.r_min);
+    require_at_least("mci.r_max", cfg.mci.r_max, cfg.mci.r_min);
+    require_at_least("mci.alpha", cfg.mci.alpha, 0.0);
+    require_at_most("mci.alpha", cfg.mci.alpha, 1.0);
+    require_at_least("mci.congestion_gain", cfg.mci.congestion_gain, 0.0);
+    require_positive("mci.min_avg_congestion", cfg.mci.min_avg_congestion);
+    require_at_least("mci.max_deflation", cfg.mci.max_deflation, 0.0);
+    require_at_least("netmove.multi_pin_congestion_threshold",
+                     cfg.netmove.multi_pin_congestion_threshold, 0.0);
+    require_at_least("netmove.min_virtual_congestion",
+                     cfg.netmove.min_virtual_congestion, 0.0);
+    require_positive("netmove.min_pin_distance_frac",
+                     cfg.netmove.min_pin_distance_frac);
+    require_positive("netmove.max_distance_scale",
+                     cfg.netmove.max_distance_scale);
+    require_at_least("netmove.max_multi_pin_degree",
+                     cfg.netmove.max_multi_pin_degree, 0);
+    require_at_least("rail_select.macro_expand_frac",
+                     cfg.rail_select.macro_expand_frac, 0.0);
+    require_at_least("rail_select.min_length_frac",
+                     cfg.rail_select.min_length_frac, 0.0);
+    require_at_most("rail_select.min_length_frac",
+                    cfg.rail_select.min_length_frac, 1.0);
+}
+
 /// Rejects a field outside its domain with a ConfigError before place()
 /// does any work: unchecked, a negative maze margin crashes the router,
 /// grid_bins < 1 silently places on a 1 x 1 grid, a zero gamma_frac
@@ -101,6 +142,7 @@ void validate_placer_config(const PlacerConfig& cfg) {
     require_at_least("keep_best_margin", cfg.keep_best_margin, 0.0);
     require_at_least("route_lambda1_boost", cfg.route_lambda1_boost, 0.0);
     require_at_least("static_pg_weight", cfg.static_pg_weight, 0.0);
+    validate_stage_configs(cfg);
     validate_router_config(cfg.router);
 }
 

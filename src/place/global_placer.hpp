@@ -159,7 +159,9 @@ public:
     /// its domain (grid_bins < 1; a negative iteration count,
     /// stop_patience, rrr_rounds, maze window margin, weight, gamma decay,
     /// growth, stop threshold, budget or margin; a gamma_frac or
-    /// gamma_min_frac that is not positive; NaN anywhere among the
+    /// gamma_min_frac that is not positive; a target density outside
+    /// (0, 1]; an out-of-domain field of the nested density, dp, tetris,
+    /// mci, netmove or rail_select configs; NaN anywhere among the
     /// fractional fields) throws ConfigError (util/config_error.hpp) before
     /// any work.
     PlaceResult place(const Design& input) const;

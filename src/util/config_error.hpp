@@ -33,6 +33,15 @@ inline void require_at_least(const std::string& field, double value,
     throw ConfigError(field, msg.str());
 }
 
+/// Throws ConfigError unless value <= max (NaN fails too).
+inline void require_at_most(const std::string& field, double value,
+                            double max) {
+    if (value <= max) return;
+    std::ostringstream msg;
+    msg << "must be <= " << max << ", got " << value;
+    throw ConfigError(field, msg.str());
+}
+
 /// Throws ConfigError unless value > 0 (NaN fails too): for a value that
 /// divides, or bounds a divisor from below.
 inline void require_positive(const std::string& field, double value) {

@@ -341,6 +341,9 @@ TEST_F(AuditTest, LegalizedAuditorTripsOnOverlapAndMisalignment) {
         EXPECT_EQ(e.invariant(), "legalized");
         EXPECT_EQ(e.stage(), "legalize");
         EXPECT_NE(std::string(e.what()).find("overlap"), std::string::npos);
+        // The auditor reports legal/'s first violation verbatim.
+        EXPECT_NE(std::string(e.what()).find(legality_violation(overlapped)),
+                  std::string::npos);
     }
 
     // A cell off the row grid.

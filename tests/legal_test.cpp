@@ -100,6 +100,92 @@ TEST(IsLegalTest, DetectsViolations) {
     EXPECT_FALSE(is_legal(d));
 }
 
+/// 50 rows of 100 movable cells each, packed left of x = 300 with one-site
+/// gaps, and fixed cells to their right: fixed cell k sits in row 5 + 10k
+/// at [300, 320). The fixed cells are interleaved with the movables in
+/// index order.
+Design many_movables_few_fixed() {
+    Design d;
+    d.region = {0, 0, 400, 400};
+    d.row_height = 8;
+    d.site_width = 1;
+    d.build_rows();
+    for (int r = 0; r < 50; ++r) {
+        if (r % 10 == 5)
+            d.add_cell("fx" + std::to_string(r / 10), 20, 8, CellKind::Fixed,
+                       {310, 8.0 * r + 4});
+        for (int i = 0; i < 100; ++i)
+            d.add_cell("mv" + std::to_string(r) + "_" + std::to_string(i), 2,
+                       8, CellKind::Movable, {3.0 * i + 1, 8.0 * r + 4});
+    }
+    return d;
+}
+
+std::string fixed_overlap(const Design& d, int cell, int fixed) {
+    return "cell " + std::to_string(cell) + " ('" +
+           d.cells[static_cast<size_t>(cell)].name + "') overlaps fixed cell " +
+           std::to_string(fixed) + " ('" +
+           d.cells[static_cast<size_t>(fixed)].name + "')";
+}
+
+TEST(IsLegalTest, FirstViolationAmongManyMovablesAndFewFixedCells) {
+    const Design base = many_movables_few_fixed();
+    ASSERT_EQ(base.num_cells(), 5005);
+    EXPECT_EQ(legality_violation(base), "");
+    EXPECT_TRUE(is_legal(base));
+    std::vector<int> fixed, movable;
+    for (int i = 0; i < base.num_cells(); ++i)
+        (base.cells[static_cast<size_t>(i)].movable() ? movable : fixed)
+            .push_back(i);
+    ASSERT_EQ(fixed.size(), 5u);
+
+    // Seeded overlaps: one or two movables moved onto fixed cells. The
+    // report names the pair in the lowest row.
+    Rng rng(31);
+    for (int trial = 0; trial < 20; ++trial) {
+        Design d = base;
+        const int n = rng.uniform_int(1, 2);
+        int want_cell = -1, want_fixed = -1;
+        double lowest = 1e300;
+        for (int k = 0; k < n; ++k) {
+            const int m = movable[static_cast<size_t>(
+                rng.uniform_int(0, static_cast<int>(movable.size()) - 1))];
+            const int f = fixed[static_cast<size_t>(
+                rng.uniform_int(0, static_cast<int>(fixed.size()) - 1))];
+            const Vec2 at = d.cells[static_cast<size_t>(f)].pos;
+            const double dx = rng.uniform_int(-10, 10);
+            d.cells[static_cast<size_t>(m)].pos = {at.x + dx, at.y};
+            if (at.y < lowest) {
+                lowest = at.y;
+                want_cell = m;
+                want_fixed = f;
+            } else if (at.y == lowest) {
+                want_cell = -1;  // two movables on one fixed cell overlap
+            }
+        }
+        if (want_cell < 0) continue;
+        EXPECT_EQ(legality_violation(d),
+                  fixed_overlap(d, want_cell, want_fixed))
+            << "trial " << trial;
+        EXPECT_FALSE(is_legal(d));
+    }
+
+    // A movable over two fixed cells names the lower-indexed one.
+    Design two = base;
+    two.add_cell("fx_right", 20, 8, CellKind::Fixed, {330, 44});  // row 5
+    const int m = movable.back();
+    two.cells[static_cast<size_t>(m)].pos = {320, 44};  // spans x = 319..321
+    EXPECT_EQ(legality_violation(two), fixed_overlap(two, m, fixed[0]));
+
+    // A row overlap between movables is reported with its depth.
+    Design row = base;
+    row.cells[static_cast<size_t>(movable[1])].pos.x -= 2;  // onto movable[0]
+    EXPECT_EQ(legality_violation(row),
+              "cells " + std::to_string(movable[0]) + " ('mv0_0') and " +
+                  std::to_string(movable[1]) +
+                  " ('mv0_1') overlap in a row by 1");
+}
+
 TEST(AbacusTest, PreservesLegalityAndReducesDisplacement) {
     Design d = random_design(500, 0.7, 13, 2);
     std::vector<Vec2> desired(static_cast<size_t>(d.num_cells()));

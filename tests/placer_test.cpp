@@ -269,6 +269,72 @@ TEST(ConfigValidationTest, PlaceRejectsOutOfDomainFields) {
          [](PlacerConfig& c) { c.static_pg_weight = -1.0; }},
         {"static_pg_weight",
          [](PlacerConfig& c) { c.static_pg_weight = kNaN; }},
+        // The nested stage configs. Unchecked, a NaN target density
+        // degrades stage 1 to 0 iterations (HPWL 2.6x); -1 and 0 disable
+        // its early stop (120 of 120 iterations instead of 71); 2 stops it
+        // after 25 (HPWL +18%).
+        {"density.target_density",
+         [](PlacerConfig& c) { c.density.target_density = kNaN; }},
+        {"density.target_density",
+         [](PlacerConfig& c) { c.density.target_density = -1.0; }},
+        {"density.target_density",
+         [](PlacerConfig& c) { c.density.target_density = 0.0; }},
+        {"density.target_density",
+         [](PlacerConfig& c) { c.density.target_density = 2.0; }},
+        // Unchecked, -1 passes is accepted as 0; a NaN or negative
+        // improvement floor is accepted silently.
+        {"dp.max_passes", [](PlacerConfig& c) { c.dp.max_passes = -1; }},
+        {"dp.min_improvement",
+         [](PlacerConfig& c) { c.dp.min_improvement = kNaN; }},
+        {"dp.min_improvement",
+         [](PlacerConfig& c) { c.dp.min_improvement = -1.0; }},
+        // Unchecked, a radius of -1 is read as 0; a vertical weight of -1
+        // or NaN legalizes to an 87% or 3.1x larger HPWL.
+        {"tetris.row_search_radius",
+         [](PlacerConfig& c) { c.tetris.row_search_radius = -1; }},
+        {"tetris.vertical_weight",
+         [](PlacerConfig& c) { c.tetris.vertical_weight = -1.0; }},
+        {"tetris.vertical_weight",
+         [](PlacerConfig& c) { c.tetris.vertical_weight = kNaN; }},
+        // Unchecked, a NaN alpha or gain trips the inflation-budget audit
+        // and degrades stage 2; r_max below r_min breaks std::clamp's
+        // precondition; the rest are accepted silently.
+        {"mci.r_min", [](PlacerConfig& c) { c.mci.r_min = 0.0; }},
+        {"mci.r_min", [](PlacerConfig& c) { c.mci.r_min = kNaN; }},
+        {"mci.r_max", [](PlacerConfig& c) { c.mci.r_max = 0.5; }},
+        {"mci.r_max", [](PlacerConfig& c) { c.mci.r_max = kNaN; }},
+        {"mci.alpha", [](PlacerConfig& c) { c.mci.alpha = -1.0; }},
+        {"mci.alpha", [](PlacerConfig& c) { c.mci.alpha = 2.0; }},
+        {"mci.alpha", [](PlacerConfig& c) { c.mci.alpha = kNaN; }},
+        {"mci.congestion_gain",
+         [](PlacerConfig& c) { c.mci.congestion_gain = kNaN; }},
+        {"mci.min_avg_congestion",
+         [](PlacerConfig& c) { c.mci.min_avg_congestion = 0.0; }},
+        {"mci.max_deflation",
+         [](PlacerConfig& c) { c.mci.max_deflation = -1.0; }},
+        // Unchecked, all are run as given: a distance scale of -1 reverses
+        // the net-moving gradient.
+        {"netmove.multi_pin_congestion_threshold",
+         [](PlacerConfig& c) {
+             c.netmove.multi_pin_congestion_threshold = kNaN;
+         }},
+        {"netmove.min_virtual_congestion",
+         [](PlacerConfig& c) { c.netmove.min_virtual_congestion = -1.0; }},
+        {"netmove.min_pin_distance_frac",
+         [](PlacerConfig& c) { c.netmove.min_pin_distance_frac = 0.0; }},
+        {"netmove.max_distance_scale",
+         [](PlacerConfig& c) { c.netmove.max_distance_scale = -1.0; }},
+        {"netmove.max_distance_scale",
+         [](PlacerConfig& c) { c.netmove.max_distance_scale = kNaN; }},
+        {"netmove.max_multi_pin_degree",
+         [](PlacerConfig& c) { c.netmove.max_multi_pin_degree = -1; }},
+        // Unchecked, both are run as given.
+        {"rail_select.macro_expand_frac",
+         [](PlacerConfig& c) { c.rail_select.macro_expand_frac = -2.0; }},
+        {"rail_select.min_length_frac",
+         [](PlacerConfig& c) { c.rail_select.min_length_frac = kNaN; }},
+        {"rail_select.min_length_frac",
+         [](PlacerConfig& c) { c.rail_select.min_length_frac = 1.5; }},
     };
     for (const Case& c : cases) {
         PlacerConfig cfg = fast_cfg(PlacerMode::Ours);
