@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace rdp {
 
@@ -45,10 +47,20 @@ void Design::connect(int net, int pin) {
     nets[net].pins.push_back(pin);
 }
 
+double Design::row_count() const {
+    if (!(row_height > 0.0)) return 0.0;
+    return std::floor(region.height() / row_height);
+}
+
 void Design::build_rows() {
     rows.clear();
-    if (row_height <= 0.0) return;
-    const int n = static_cast<int>(std::floor(region.height() / row_height));
+    const double count = row_count();
+    if (count < 0.0)
+        throw std::length_error("Design::build_rows: inverted region");
+    if (!(count <= kMaxRows))
+        throw std::length_error("Design::build_rows: more than " +
+                                std::to_string(kMaxRows) + " rows");
+    const int n = static_cast<int>(count);
     rows.reserve(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) {
         Row r;

@@ -97,7 +97,17 @@ public:
     int add_net(std::string net_name, double weight = 1.0);
     /// Connect an existing pin to an existing net.
     void connect(int net, int pin);
-    /// Create uniform rows covering the region.
+    /// The most rows build_rows makes: far beyond any real floorplan, and
+    /// ~31 MiB of rows. read_design rejects a region and row height that
+    /// give more with a ParseError (DESIGN.md §18).
+    static constexpr int kMaxRows = 1'000'000;
+    /// The rows build_rows makes: floor(region height / row_height), and 0
+    /// for a non-positive row height. Negative for an inverted region; may
+    /// exceed kMaxRows, or be +inf.
+    double row_count() const;
+    /// Create uniform rows covering the region. Throws std::length_error
+    /// when row_count() is negative (an inverted region) or exceeds
+    /// kMaxRows.
     void build_rows();
 
     // ---- queries ----------------------------------------------------------

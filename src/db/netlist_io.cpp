@@ -252,6 +252,7 @@ Design read_design(std::istream& is) {
     LineReader lines(is);
     std::string_view line;
     int line_no = 0;
+    int rows_line = 0;  // the last region or rowheight line
     auto fail = [&](const std::string& msg) {
         throw ParseError(line_no, msg);
     };
@@ -277,10 +278,12 @@ Design read_design(std::istream& is) {
             finite(d.region.hy, "region coordinate");
             if (d.region.hx <= d.region.lx || d.region.hy <= d.region.ly)
                 fail("region has non-positive extent");
+            rows_line = line_no;
         } else if (tok == "rowheight") {
             if (!ss.number(d.row_height)) fail("bad rowheight");
             if (!std::isfinite(d.row_height) || d.row_height <= 0.0)
                 fail("rowheight must be finite and positive");
+            rows_line = line_no;
         } else if (tok == "sitewidth") {
             if (!ss.number(d.site_width)) fail("bad sitewidth");
             if (!std::isfinite(d.site_width) || d.site_width <= 0.0)
@@ -358,6 +361,10 @@ Design read_design(std::istream& is) {
             fail("unknown directive '" + std::string(tok) + "'");
         }
     }
+    if (!(d.row_count() <= Design::kMaxRows))
+        throw ParseError(rows_line, "region holds more than " +
+                                        std::to_string(Design::kMaxRows) +
+                                        " rows");
     d.build_rows();
     return d;
 }

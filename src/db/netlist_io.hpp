@@ -45,8 +45,9 @@ void write_design_file(const Design& d, const std::string& path);
 /// follow the C-locale operator>> syntax (DESIGN.md §18). Throws
 /// ParseError naming the offending line on any malformed input: unknown
 /// directives, missing fields or trailing pin-list garbage, non-finite or
-/// overflowing numbers, non-positive dimensions, inverted regions,
-/// out-of-range cell/pin indices, and doubly-connected pins.
+/// overflowing numbers, non-positive dimensions, inverted regions, a
+/// region holding more than Design::kMaxRows rows, out-of-range cell/pin
+/// indices, and doubly-connected pins.
 Design read_design(std::istream& is);
 Design read_design_file(const std::string& path);
 

@@ -596,6 +596,17 @@ RouteResult GlobalRouter::route_impl(const Design& d, RouterScratch& ws) const {
     ws.best_bends = ws.bend_vias;
     int rounds_executed = 0, rounds_stalled = 0;
     int spec_committed = 0, spec_discarded = 0;
+    // A wave member's window may cover nx·ny/K cells at most. Below the
+    // area of a window that the grid edge does not clamp, (2·margin + 1)²,
+    // only edge windows could join a wave, and the waves cost more than
+    // they save: route on the leader alone (DESIGN.md §9).
+    const int threads = par::max_threads();
+    const long long margin_window = 2LL * cfg_.maze.window_margin + 1;
+    const int wave_width =
+        static_cast<long long>(nx) * ny / threads <
+                margin_window * margin_window
+            ? 1
+            : threads;
 
     for (int round = 0; round < cfg_.rrr_rounds; ++round) {
         // Grow history costs where utilization exceeds capacity. Elementwise
@@ -628,11 +639,14 @@ RouteResult GlobalRouter::route_impl(const Design& d, RouterScratch& ws) const {
         ++rounds_executed;
         st.refresh_all_costs();
 
-        // One leader/helper region per round (DESIGN.md §9).
-        par::with_helpers([&](par::Helpers& helpers) {
-            reroute_pass(st, ws, conns, helpers, spec_committed,
-                         spec_discarded);
-        });
+        // One leader/helper region per round (DESIGN.md §9), or the
+        // leader alone where no window of an unclamped margin fits a wave.
+        par::with_helpers(
+            [&](par::Helpers& helpers) {
+                reroute_pass(st, ws, conns, helpers, spec_committed,
+                             spec_discarded);
+            },
+            wave_width);
 
         // Invariant audit: a rip-up/reroute round must leave edge usage
         // equal to the committed segments (every commit(-1) matched by a

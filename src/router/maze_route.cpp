@@ -9,9 +9,22 @@
 #include <queue>
 #include <vector>
 
+#include "util/simd.hpp"
+
+// The search's queue operations are lambdas, which GCC at -O2 calls out of
+// line once a function has several call sites; a call per relaxation
+// costs as much as the relaxation.
+#if defined(__GNUC__)
+#define RDP_MAZE_INLINE __attribute__((always_inline))
+#else
+#define RDP_MAZE_INLINE
+#endif
+
 namespace rdp {
 
 namespace {
+
+using simd::VecD;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Relative deflation of the goal-directed search's heuristic: the margin
@@ -45,6 +58,27 @@ RoutePath merge_runs(const std::vector<Step>& goal_first) {
         i = k;
     }
     return path;
+}
+
+/// p[0, n) = +inf.
+void fill_inf(double* p, size_t n) {
+    const VecD inf = VecD::set1(kInf);
+    size_t i = 0;
+    for (; i + simd::kLanes <= n; i += simd::kLanes) inf.storeu(p + i);
+    for (; i < n; ++i) p[i] = kInf;
+}
+
+/// The smallest and the largest lane (a NaN lane makes the search fall
+/// back whatever they return).
+double lane_min(VecD v) {
+    double l[simd::kLanes];
+    v.storeu(l);
+    return std::min(std::min(l[0], l[1]), std::min(l[2], l[3]));
+}
+double lane_max(VecD v) {
+    double l[simd::kLanes];
+    v.storeu(l);
+    return std::max(std::max(l[0], l[1]), std::max(l[2], l[3]));
 }
 
 /// Search state: cell within the window plus the direction of entry
@@ -166,8 +200,7 @@ std::optional<RoutePath> bucket_route(int x0, int y0, int x1, int y1,
     // Padded layout: window cell (x, y) is
     // c = (y - win.y0 + 1) * W + (x - win.x0 + 1), and its nodes are 2c
     // (entered horizontally) and 2c + 1 (vertically). The one-cell border
-    // costs +inf, so no relaxation ever enters it. The same pass takes the
-    // minimum of cost_h in every column and of cost_v in every row.
+    // costs +inf, so no relaxation ever enters it.
     const int W = w + 2;
     const size_t cells = static_cast<size_t>(W) * (h + 2);
     const size_t nodes = 2 * cells;
@@ -182,36 +215,51 @@ std::optional<RoutePath> bucket_route(int x0, int y0, int x1, int y1,
     double* const row_min = col_min + w;
     double* const hx = row_min + h;
     double* const hy = hx + w;
-    std::fill_n(cost, 2 * W, kInf);
-    std::fill_n(cost + nodes - 2 * W, 2 * W, kInf);
-    std::fill_n(dist, nodes, kInf);
-    std::fill_n(col_min, w, kInf);
-    bool valid = true;
-    double hi_h = 0.0, hi_v = 0.0;
+
+    // One pass over the window, four cells at a time: the interleaved
+    // copy, the minimum of cost_h in every column and of cost_v in every
+    // row, the largest cost, and the sum of every cost minus itself, which
+    // is 0 unless a cost is not finite.
+    fill_inf(cost, 2 * static_cast<size_t>(W));
+    fill_inf(cost + nodes - 2 * W, 2 * static_cast<size_t>(W));
+    fill_inf(dist, nodes);
+    fill_inf(col_min, static_cast<size_t>(w));
+    VecD hi4 = VecD::zero(), nonfinite4 = VecD::zero();
+    double hi = 0.0, nonfinite = 0.0;
     for (int y = 0; y < h; ++y) {
         const double* rh = &ch.at(win.x0, win.y0 + y);
         const double* rv = &cv.at(win.x0, win.y0 + y);
         double* row = cost + 2 * ((y + 1) * W + 1);
         row[-2] = row[-1] = row[2 * w] = row[2 * w + 1] = kInf;
-        double rmin = kInf;
-        for (int x = 0; x < w; ++x) {
+        VecD rmin4 = VecD::set1(kInf);
+        int x = 0;
+        for (; x + simd::kLanes <= w; x += simd::kLanes) {
+            const VecD a = VecD::loadu(rh + x), b = VecD::loadu(rv + x);
+            interleave2(row + 2 * x, a, b);
+            vmin(a, VecD::loadu(col_min + x)).storeu(col_min + x);
+            rmin4 = vmin(b, rmin4);
+            hi4 = vmax(vmax(a, b), hi4);
+            nonfinite4 = nonfinite4 + ((a - a) + (b - b));
+        }
+        double rmin = lane_min(rmin4);
+        for (; x < w; ++x) {
             const double a = rh[x], b = rv[x];
-            valid &= (a > 0.0) & (a < kInf) & (b > 0.0) & (b < kInf);
             row[2 * x] = a;
             row[2 * x + 1] = b;
             col_min[x] = std::min(col_min[x], a);
             rmin = std::min(rmin, b);
-            hi_h = std::max(hi_h, a);
-            hi_v = std::max(hi_v, b);
+            hi = std::max(hi, std::max(a, b));
+            nonfinite += (a - a) + (b - b);
         }
         row_min[y] = rmin;
     }
-    if (!valid) return std::nullopt;
-    const double hi = std::max(hi_h, hi_v);
     // The cheapest cell (col_min and row_min together cover every cost)
     // and the dearest column or row minimum; the two arrays are adjacent.
     const auto [min_it, max_it] = std::minmax_element(col_min, hx);
     const double lo = *min_it, step_max = *max_it;
+    if (!(lo > 0.0 && reduce_add(nonfinite4) + nonfinite == 0.0))
+        return std::nullopt;
+    hi = std::max(hi, lane_max(hi4));
 
     // Heuristic. A path from column x enters every column from x (not
     // included) to the goal's (included) horizontally, paying at least that
@@ -229,9 +277,15 @@ std::optional<RoutePath> bucket_route(int x0, int y0, int x1, int y1,
     lower_bound_sums(hx, col_min, w, x1 - win.x0);
     lower_bound_sums(hy, row_min, h, y1 - win.y0);
     // The border's entries are never read: no relaxation enters the border.
+    const double deflate = 1.0 - kSlack;
     for (int y = 0; y < h; ++y) {
         double* row = heur + (y + 1) * W + 1;
-        for (int x = 0; x < w; ++x) row[x] = (hx[x] + hy[y]) * (1.0 - kSlack);
+        const VecD hy4 = VecD::set1(hy[y]);
+        int x = 0;
+        for (; x + simd::kLanes <= w; x += simd::kLanes)
+            ((VecD::loadu(hx + x) + hy4) * VecD::set1(deflate))
+                .storeu(row + x);
+        for (; x < w; ++x) row[x] = (hx[x] + hy[y]) * deflate;
     }
 
     // Keys are dist + h, in buckets lo / 2 wide. With h consistent a key
@@ -264,7 +318,7 @@ std::optional<RoutePath> bucket_route(int x0, int y0, int x1, int y1,
     // Set n's dist to d and queue it. False only if the key falls outside
     // the live ring, which consistency rules out; the caller then falls
     // back rather than trust the argument.
-    auto enqueue = [&](int n, double d) {
+    auto enqueue = [&](int n, double d) RDP_MAZE_INLINE {
         const double q = (d + heur[n >> 1]) * inv_width;
         if (!(q >= static_cast<double>(cur) &&
               q < static_cast<double>(cur + ring)))
@@ -328,7 +382,7 @@ std::optional<RoutePath> bucket_route(int x0, int y0, int x1, int y1,
         const double via_v = (u & 1) ? 0.0 : via;
         const int east = 2 * (c + 1), west = 2 * (c - 1);
         const int north = 2 * (c + W) + 1, south = 2 * (c - W) + 1;
-        auto relax = [&](int nn, double nd) {
+        auto relax = [&](int nn, double nd) RDP_MAZE_INLINE {
             return !(nd < dist[nn]) || enqueue(nn, nd);
         };
         if (!relax(east, du + (cost[east] + via_h)) ||

@@ -316,8 +316,9 @@ void Helpers::run(size_t n, const std::function<void(size_t, int)>& task) {
     shared_->leader_run(n, task);
 }
 
-void with_helpers(const std::function<void(Helpers&)>& body) {
-    const int threads = max_threads();
+void with_helpers(const std::function<void(Helpers&)>& body,
+                  int max_width) {
+    const int threads = std::min(max_threads(), max_width);
     if (threads <= 1 || tls_in_parallel) {
         Helpers inline_only(nullptr, 1);
         body(inline_only);

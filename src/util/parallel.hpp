@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -124,7 +125,8 @@ public:
 
 private:
     struct Shared;  // batch hand-off state (parallel.cpp)
-    friend void with_helpers(const std::function<void(Helpers&)>& body);
+    friend void with_helpers(const std::function<void(Helpers&)>& body,
+                             int max_width);
     Helpers(Shared* shared, int width) : shared_(shared), width_(width) {}
 
     Shared* shared_;
@@ -132,9 +134,11 @@ private:
 };
 
 /// Run body(helpers) on the calling thread inside one leader/helper region
-/// sized by max_threads(). Nested parallel calls made by the body or by
-/// the tasks run inline. body and tasks must not throw.
-void with_helpers(const std::function<void(Helpers&)>& body);
+/// of min(max_threads(), max_width) participants; at one, the region runs
+/// inline and no pool thread is woken. Nested parallel calls made by the
+/// body or by the tasks run inline. body and tasks must not throw.
+void with_helpers(const std::function<void(Helpers&)>& body,
+                  int max_width = std::numeric_limits<int>::max());
 
 }  // namespace par
 }  // namespace rdp

@@ -160,6 +160,20 @@ TEST(RdpHotLoopAlloc, SilentOnGoodFixture) {
         << "unexpected: " << findings.front().message;
 }
 
+TEST(RdpThreadLocal, FiresOnBadFixture) {
+    const auto findings =
+        check_fixture("rdp-thread-local", "bad_thread_local.cpp");
+    EXPECT_EQ(findings.size(), 2u);  // the function-local and static buffers
+    for (const Finding& f : findings) EXPECT_EQ(f.check, "rdp-thread-local");
+}
+
+TEST(RdpThreadLocal, SilentOnGoodFixture) {
+    const auto findings =
+        check_fixture("rdp-thread-local", "good_thread_local.cpp");
+    EXPECT_TRUE(findings.empty())
+        << "unexpected: " << findings.front().message;
+}
+
 // ---- path-based applicability (run_file) ----------------------------------
 
 TEST(LintPathRules, SimdLayerMayCallRawExp) {
@@ -195,6 +209,15 @@ TEST(LintPathRules, ParallelLayerMayOwnThreads) {
     EXPECT_TRUE(rdp::lint::run_file("src/util/parallel.cpp", code).empty());
     EXPECT_EQ(rdp::lint::run_file("src/router/maze_route.cpp", code).size(),
               1u);
+}
+
+TEST(LintPathRules, OnlyTheParallelLayerMayHoldThreadLocals) {
+    const std::string code = "thread_local bool in_region = false;\n";
+    EXPECT_TRUE(rdp::lint::run_file("src/util/parallel.cpp", code).empty());
+    for (const char* path :
+         {"src/util/parallel.hpp", "src/router/maze_route.cpp",
+          "src/router/global_router.cpp", "src/util/simd.cpp"})
+        EXPECT_EQ(rdp::lint::run_file(path, code).size(), 1u) << path;
 }
 
 TEST(LintPathRules, AtomicWriteLayerMayOpenFiles) {

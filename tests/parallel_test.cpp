@@ -171,6 +171,23 @@ TEST(HelpersTest, OneThreadRunsInlineOnTheLeader) {
     });
 }
 
+TEST(HelpersTest, MaxWidthCapsTheRegion) {
+    ThreadGuard guard;
+    par::set_max_threads(4);
+    const auto leader = std::this_thread::get_id();
+    par::with_helpers(
+        [&](par::Helpers& h) {
+            EXPECT_EQ(h.width(), 1);
+            h.run(16, [&](size_t, int slot) {
+                EXPECT_EQ(slot, 0);
+                EXPECT_EQ(std::this_thread::get_id(), leader);
+            });
+        },
+        1);
+    par::with_helpers([&](par::Helpers& h) { EXPECT_EQ(h.width(), 2); }, 2);
+    par::with_helpers([&](par::Helpers& h) { EXPECT_EQ(h.width(), 4); }, 9);
+}
+
 TEST(HelpersTest, NestedRegionRunsInline) {
     ThreadGuard guard;
     par::set_max_threads(4);
@@ -281,22 +298,23 @@ TEST(KernelDeterminismTest, GlobalRouter) {
     });
 }
 
+/// Every routing output that must not depend on the thread count.
+auto route_bits(const RouteResult& r) {
+    return std::make_tuple(r.wirelength_dbu, r.total_overflow, r.num_vias,
+                           r.overflowed_gcells, r.rrr_rounds_executed,
+                           r.rrr_rounds_stalled, r.demand_h.raw(),
+                           r.demand_v.raw(), r.bend_vias.raw(),
+                           r.pin_vias.raw(), r.congestion.demand().raw());
+}
+
 /// Routes `d` on an n x n grid at 1, 2, 3, 4 and 7 threads. The result
 /// must be bitwise equal at every count, and the RRR waves must both
 /// commit and discard speculative reroutes once there is a second thread
-/// (neither at one thread). The 32x32 case above barely speculates at 4+
-/// threads: every maze window not clamped at a grid edge (17x17 or more)
-/// exceeds 1/K of the grid.
+/// (neither at one thread). A 32x32 grid does not speculate from 4
+/// threads on (GlobalRouterRoutesSmallGridsOnTheLeader below).
 void expect_speculation_exact(const Design& d, int n, const RouterConfig& rc) {
     ThreadGuard guard;
     const GlobalRouter router(BinGrid(d.region, n, n), rc);
-    auto bits = [](const RouteResult& r) {
-        return std::make_tuple(r.wirelength_dbu, r.total_overflow, r.num_vias,
-                               r.overflowed_gcells, r.rrr_rounds_executed,
-                               r.rrr_rounds_stalled, r.demand_h.raw(),
-                               r.demand_v.raw(), r.bend_vias.raw(),
-                               r.pin_vias.raw(), r.congestion.demand().raw());
-    };
     par::set_max_threads(1);
     const RouteResult base = router.route(d);
     EXPECT_EQ(base.rrr_spec_committed, 0);
@@ -304,8 +322,8 @@ void expect_speculation_exact(const Design& d, int n, const RouterConfig& rc) {
     for (int t : {2, 3, 4, 7}) {
         par::set_max_threads(t);
         const RouteResult r = router.route(d);
-        EXPECT_TRUE(bits(r) == bits(base)) << "result differs at " << t
-                                           << " threads";
+        EXPECT_TRUE(route_bits(r) == route_bits(base))
+            << "result differs at " << t << " threads";
         EXPECT_GT(r.rrr_spec_committed, 0) << t << " threads";
         EXPECT_GT(r.rrr_spec_discarded, 0) << t << " threads";
     }
@@ -326,6 +344,32 @@ TEST(KernelDeterminismTest, GlobalRouterSpeculatesOn128) {
     rc.rrr_rounds = 2;
     for (LayerSpec& l : rc.layers) l.capacity *= 3.0;
     expect_speculation_exact(test_design(300, 7), 128, rc);
+}
+
+// From 4 threads on, a 32x32 grid's share per wave member, 1024 / K
+// cells, is below the 17x17 window of margin 8 that no grid edge clamps,
+// so every round routes on the leader alone and nothing is speculated
+// (DESIGN.md §9). At 2 threads a wave member may take 512 cells, and the
+// same route still speculates.
+TEST(KernelDeterminismTest, GlobalRouterRoutesSmallGridsOnTheLeader) {
+    ThreadGuard guard;
+    const Design d = test_design(900, 5);
+    const GlobalRouter router(BinGrid(d.region, 32, 32));
+    par::set_max_threads(1);
+    const RouteResult base = router.route(d);
+    ASSERT_GT(base.rrr_rounds_executed, 0);
+    for (int t : {4, 7}) {
+        par::set_max_threads(t);
+        const RouteResult r = router.route(d);
+        EXPECT_TRUE(route_bits(r) == route_bits(base))
+            << "result differs at " << t << " threads";
+        EXPECT_EQ(r.rrr_spec_committed, 0) << t << " threads";
+        EXPECT_EQ(r.rrr_spec_discarded, 0) << t << " threads";
+    }
+    par::set_max_threads(2);
+    const RouteResult two = router.route(d);
+    EXPECT_TRUE(route_bits(two) == route_bits(base));
+    EXPECT_GT(two.rrr_spec_committed, 0);
 }
 
 TEST(KernelDeterminismTest, NetMovingGradient) {

@@ -7,6 +7,7 @@
 #include <functional>
 #include <limits>
 #include <optional>
+#include <utility>
 
 #include "benchgen/generator.hpp"
 #include "benchgen/ispd_suite.hpp"
@@ -534,16 +535,34 @@ TEST_F(MazeEquivalenceTest, ExtremeCostRatioFallsBack) {
 }
 
 TEST_F(MazeEquivalenceTest, NonPositiveOrNonFiniteCostFallsBack) {
-    GridF ch(16, 16, 2.0), cv(16, 16, 2.0);
-    for (const double bad :
-         {0.0, -1.0, std::numeric_limits<double>::infinity()}) {
-        cv.at(5, 5) = bad;
+    // The window is the whole grid. At width 16 every column is in the
+    // set-up's four-lane body; at width 15 columns 12-14 are its scalar
+    // tail, where the cost_h case lands. Random costs, unlike a uniform
+    // field, leave no tie between the goal's two directions, so the clean
+    // field is answered and only the bad cost can make the search fall
+    // back.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    Rng rng(163);
+    for (const int n : {16, 15}) {
+        GridF ch(n, n), cv(n, n);
+        for (auto& v : ch) v = rng.uniform(1.0, 6.0);
+        for (auto& v : cv) v = rng.uniform(1.0, 6.0);
         const RouteCostModel m{&ch, &cv, 1.0};
-        EXPECT_FALSE(maze_detail::bucket_route(2, 2, 9, 9, m, {}));
+        ASSERT_TRUE(maze_detail::bucket_route(2, 2, 9, 9, m, {}));
+        const double nan = std::numeric_limits<double>::quiet_NaN();
+        for (const double bad : {0.0, -1.0, kInf, -kInf, nan}) {
+            for (const auto& [grid, x] :
+                 {std::pair{&cv, 5}, std::pair{&ch, n - 2}}) {
+                const double saved = grid->at(x, 5);
+                grid->at(x, 5) = bad;
+                EXPECT_FALSE(maze_detail::bucket_route(2, 2, 9, 9, m, {}))
+                    << "width " << n << ", cost " << bad << " at x " << x;
+                grid->at(x, 5) = saved;
+            }
+        }
+        const RouteCostModel negative_via{&ch, &cv, -0.5};
+        EXPECT_FALSE(maze_detail::bucket_route(2, 2, 9, 9, negative_via, {}));
     }
-    cv.at(5, 5) = 2.0;
-    const RouteCostModel negative_via{&ch, &cv, -0.5};
-    EXPECT_FALSE(maze_detail::bucket_route(2, 2, 9, 9, negative_via, {}));
 }
 
 TEST_F(MazeEquivalenceTest, CheapCorridorBesideACostlyBoundingBox) {

@@ -339,6 +339,20 @@ void check_env_reader(const std::string& stripped, const std::string& path,
     }
 }
 
+// ---- rdp-thread-local -----------------------------------------------------
+
+void check_thread_local(const std::string& stripped, const std::string& path,
+                        std::vector<Finding>& out) {
+    for (const Token& t : identifiers(stripped)) {
+        if (t.text != "thread_local") continue;
+        add(out, "rdp-thread-local", path, t.line,
+            "thread_local storage; scratch is owned by the caller (a "
+            "router slot, a workspace passed in), so its memory stays "
+            "bounded and freed with its owner and a placer stays "
+            "reentrant (DESIGN.md §17)");
+    }
+}
+
 // ---- rdp-raw-file-write ---------------------------------------------------
 
 /// True when the token sits on a preprocessor directive line: `#include
@@ -457,7 +471,7 @@ const std::vector<std::string>& all_checks() {
     static const std::vector<std::string> kChecks = {
         "rdp-raw-exp", "rdp-unordered-iteration", "rdp-raw-thread",
         "rdp-raw-getenv", "rdp-env-reader", "rdp-raw-file-write",
-        "rdp-hot-loop-alloc"};
+        "rdp-hot-loop-alloc", "rdp-thread-local"};
     return kChecks;
 }
 
@@ -583,6 +597,7 @@ std::vector<Finding> run_check(std::string_view check, const std::string& path,
         check_raw_file_write(stripped, path, out);
     if (check == "rdp-hot-loop-alloc")
         check_hot_loop_alloc(stripped, path, out);
+    if (check == "rdp-thread-local") check_thread_local(stripped, path, out);
     return out;
 }
 
@@ -591,10 +606,11 @@ std::vector<Finding> run_file(const std::string& path,
     std::vector<Finding> out;
     const std::string stripped = strip_comments_and_strings(content);
     // The simd layer is the one place allowed to touch raw exp/fma; the
-    // parallel layer is the one place allowed to own threads; the env
-    // parser is the one place allowed to call getenv, and may_read_env()
-    // lists the files allowed to call its readers; the atomic-write helper
-    // is the one place allowed to open a file for writing.
+    // parallel layer is the one place allowed to own threads and
+    // thread-local state; the env parser is the one place allowed to call
+    // getenv, and may_read_env() lists the files allowed to call its
+    // readers; the atomic-write helper is the one place allowed to open a
+    // file for writing.
     if (!path_contains(path, "util/simd.")) check_raw_exp(stripped, path, out);
     check_unordered_iteration(stripped, path, out);
     if (!path_contains(path, "util/parallel."))
@@ -605,6 +621,8 @@ std::vector<Finding> run_file(const std::string& path,
     if (!path_contains(path, "util/io_atomic."))
         check_raw_file_write(stripped, path, out);
     if (is_kernel_header(path)) check_hot_loop_alloc(stripped, path, out);
+    if (!path_contains(path, "util/parallel.cpp"))
+        check_thread_local(stripped, path, out);
     return out;
 }
 

@@ -4,7 +4,7 @@
 // standard library, so the lint gate runs — and fails the build on a
 // violation — on every host the project builds on.
 //
-// The seven rules:
+// The eight rules:
 //
 //   rdp-raw-exp             std::exp / std::fma (and friends) outside
 //                           src/util/simd.* — everything else must go
@@ -37,6 +37,10 @@
 //                           kernels run inside parallel regions on
 //                           caller-owned scratch; allocating there is a
 //                           latency and determinism hazard.
+//   rdp-thread-local        thread_local outside src/util/parallel.cpp —
+//                           scratch is owned by its caller (a router
+//                           slot, a workspace), so its size is bounded and
+//                           freed with the owner (DESIGN.md §17, Memory).
 
 #include <string>
 #include <string_view>
@@ -69,7 +73,8 @@ std::vector<Finding> run_check(std::string_view check, const std::string& path,
 /// Run every check whose path rules say it applies to `path`: the exp/
 /// thread/getenv/file-write checks skip their own implementation files, the
 /// env-reader check skips the files allowed to read the environment, the
-/// hot-loop-alloc check fires only on the four kernel headers. This is
+/// hot-loop-alloc check fires only on the four kernel headers, and the
+/// thread-local check skips util/parallel.cpp. This is
 /// what the rdp_lint CLI and the full-tree regression test use.
 std::vector<Finding> run_file(const std::string& path,
                               const std::string& content);
