@@ -144,6 +144,10 @@ int main(int argc, char** argv) {
         }
     }
 
+    // The placer takes a power-of-two grid only (0 picks one below).
+    if (bins != 0 && !is_pow2(bins))
+        return bad_value("--bins=" + std::to_string(bins));
+
     if (input_path.empty()) {
         input_path = "/tmp/rdplace_demo.txt";
         std::cout << "no input given: generating a demo design at "

@@ -165,8 +165,8 @@ bool underflows(const char* p, const char* end) {
 }
 
 /// Extracts the fields of one line the way the C-locale operator>> did:
-/// each extraction skips whitespace, and a number ends where its syntax
-/// does, not at the next space ("4junk" reads 4 and leaves "junk").
+/// each extraction skips whitespace. A number must also end at whitespace
+/// or at the end of the line ("4junk" and "1.5" as an integer fail).
 struct Fields {
     const char* p;
     const char* end;
@@ -188,23 +188,26 @@ struct Fields {
         return true;
     }
 
-    /// [+-]digits within int range. On failure the cursor stays where the
-    /// scan stopped, after any sign and digits, as operator>> left it.
+    /// Does the field just scanned end here?
+    bool field_ends() const { return p == end || is_space(*p); }
+
+    /// [+-]digits within int range, ending the field.
     bool integer(int& v) {
         skip_space();
         const char* const start = p;
         if (p != end && (*p == '+' || *p == '-')) ++p;
         const char* const digits = p;
         while (p != end && is_digit(*p)) ++p;
-        if (p == digits) return false;
+        if (p == digits || !field_ends()) return false;
         // from_chars takes a '-' but no '+'.
         return std::from_chars(*start == '+' ? digits : start, p, v).ec ==
                std::errc();
     }
 
-    /// [+-]digits with one '.', then [eE][+-]digits. Rejects no mantissa
-    /// digit, an exponent without digits ("1e", "1e+") and overflow, as
-    /// operator>> did; reads underflow as a signed zero. Never "inf"/"nan".
+    /// [+-]digits with one '.', then [eE][+-]digits, ending the field.
+    /// Rejects no mantissa digit, an exponent without digits ("1e", "1e+")
+    /// and overflow, as operator>> did; reads underflow as a signed zero.
+    /// Never "inf"/"nan".
     bool number(double& v) {
         skip_space();
         const bool neg = p != end && *p == '-';
@@ -226,6 +229,7 @@ struct Fields {
             if (p != end && (*p == '+' || *p == '-')) ++p;
             while (p != end && is_digit(*p)) ++p;
         }
+        if (!field_ends()) return false;
         // from_chars stops before an exponent without digits: "1e", "1e+".
         const std::from_chars_result r = std::from_chars(mant, p, v);
         if (r.ptr != p) return false;
@@ -319,12 +323,7 @@ Design read_design(std::istream& is) {
             const int net = d.add_net(std::string(nm), wgt);
             int pin;
             while (!ss.at_end()) {
-                // A failed index that ran to the end of the line ends the
-                // list, as the stream's eofbit did.
-                if (!ss.integer(pin)) {
-                    if (ss.p == ss.end) break;
-                    fail("bad pin index");
-                }
+                if (!ss.integer(pin)) fail("bad pin index");
                 if (pin < 0 || pin >= d.num_pins()) fail("net on missing pin");
                 if (d.pins[static_cast<size_t>(pin)].net != -1)
                     fail("pin " + std::to_string(pin) +
@@ -360,6 +359,8 @@ Design read_design(std::istream& is) {
         } else {
             fail("unknown directive '" + std::string(tok) + "'");
         }
+        std::string_view extra;
+        if (ss.word(extra)) fail("extra field '" + std::string(extra) + "'");
     }
     if (!(d.row_count() <= Design::kMaxRows))
         throw ParseError(rows_line, "region holds more than " +

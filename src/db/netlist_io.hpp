@@ -44,7 +44,8 @@ void write_design_file(const Design& d, const std::string& path);
 /// Parses a design in one pass through a fixed 64 KiB read buffer; numbers
 /// follow the C-locale operator>> syntax (DESIGN.md §18). Throws
 /// ParseError naming the offending line on any malformed input: unknown
-/// directives, missing fields or trailing pin-list garbage, non-finite or
+/// directives, missing or extra fields, a number that does not end at
+/// whitespace, a bad pin index anywhere in a net's list, non-finite or
 /// overflowing numbers, non-positive dimensions, inverted regions, a
 /// region holding more than Design::kMaxRows rows, out-of-range cell/pin
 /// indices, and doubly-connected pins.

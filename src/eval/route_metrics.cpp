@@ -2,17 +2,15 @@
 
 #include <chrono>
 
-#include "fft/fft.hpp"
 #include "util/config_error.hpp"
 
 namespace rdp {
 
 EvalMetrics evaluate_placement(const Design& d, const EvalConfig& cfg) {
-    require_at_least("grid_bins", cfg.grid_bins, 1);
+    require_power_of_two("grid_bins", cfg.grid_bins);
     validate_router_config(cfg.router);
     EvalMetrics m;
-    const int bins = next_pow2(cfg.grid_bins);
-    const BinGrid grid(d.region, bins, bins);
+    const BinGrid grid(d.region, cfg.grid_bins, cfg.grid_bins);
     GlobalRouter router(grid, cfg.router);
 
     const auto t0 = std::chrono::steady_clock::now();

@@ -40,7 +40,8 @@ struct EvalMetrics {
 };
 
 /// Route `d` at evaluation resolution and compute the Table I metrics.
-/// Throws ConfigError for grid_bins < 1 or an invalid router config
+/// Throws ConfigError for a grid_bins that is not a power of two or an
+/// invalid router config
 /// (validate_router_config).
 EvalMetrics evaluate_placement(const Design& d, const EvalConfig& cfg = {});
 

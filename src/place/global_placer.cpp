@@ -9,7 +9,6 @@
 
 #include "audit/invariant_audit.hpp"
 #include "db/netlist_io.hpp"
-#include "fft/fft.hpp"
 #include "legal/abacus.hpp"
 #include "legal/pin_access_refine.hpp"
 #include "place/nesterov.hpp"
@@ -119,12 +118,13 @@ void validate_stage_configs(const PlacerConfig& cfg) {
 
 /// Rejects a field outside its domain with a ConfigError before place()
 /// does any work: unchecked, a negative maze margin crashes the router,
-/// grid_bins < 1 silently places on a 1 x 1 grid, a zero gamma_frac
+/// grid_bins < 1 silently places on a 1 x 1 grid (and one that is not a
+/// power of two on the next larger one), a zero gamma_frac
 /// divides the WA model by zero, and a NaN or negative schedule, stop or
 /// budget value is either run as given or left to the recovery layer to
 /// degrade the stage.
 void validate_placer_config(const PlacerConfig& cfg) {
-    require_at_least("grid_bins", cfg.grid_bins, 1);
+    require_power_of_two("grid_bins", cfg.grid_bins);
     require_at_least("max_wl_iters", cfg.max_wl_iters, 0);
     require_at_least("inner_iters", cfg.inner_iters, 0);
     require_at_least("max_route_iters", cfg.max_route_iters, 0);
@@ -389,8 +389,7 @@ PlaceResult GlobalPlacer::place(const Design& input) const {
     std::vector<int> movable = d.movable_cells();
 
     // Shared grid for density, G-cells, and congestion (paper II-B).
-    const int bins = next_pow2(cfg.grid_bins);
-    const BinGrid grid(d.region, bins, bins);
+    const BinGrid grid(d.region, cfg.grid_bins, cfg.grid_bins);
     PlacementObjective obj(grid, cfg.density, cfg.netmove,
                            cfg.gamma_frac *
                                std::max(grid.bin_w(), grid.bin_h()));

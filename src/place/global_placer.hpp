@@ -156,9 +156,10 @@ public:
     /// RDP_RECOVER, RDP_STAGE_BUDGET_MS, RDP_CHECKPOINT_DIR,
     /// RDP_CHECKPOINT_EVERY and RDP_RESUME environment variables are read
     /// then and override `config()` for this call only. A field outside
-    /// its domain (grid_bins < 1; a negative iteration count,
-    /// stop_patience, rrr_rounds, maze window margin, weight, gamma decay,
-    /// growth, stop threshold, budget or margin; a gamma_frac or
+    /// its domain (a grid_bins that is not a power of two; a negative
+    /// iteration count, stop_patience, rrr_rounds, maze window margin,
+    /// weight, gamma decay, growth, stop threshold, budget or margin; a
+    /// gamma_frac or
     /// gamma_min_frac that is not positive; a target density outside
     /// (0, 1]; an out-of-domain field of the nested density, dp, tetris,
     /// mci, netmove or rail_select configs; NaN anywhere among the

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <functional>
 #include <numeric>
 
 #include "audit/invariant_audit.hpp"
@@ -128,20 +127,13 @@ void reset_grid(GridF& g, int nx, int ny) {
 /// Mutable routing state for one GlobalRouter::route() invocation. The
 /// grids live in the (possibly reused) RouterScratch; this wrapper
 /// only binds them to the cost/commit logic.
-///
-/// A speculative reroute binds a window-local copy instead: demand and
-/// cost are the window's copies, whose cell (0,0) is grid cell (ox,oy),
-/// while capacity and history stay the live grids (neither changes within
-/// an RRR round). Bend vias are never read by a reroute, so a copy has
-/// none.
 struct RouteState {
     const RouterConfig& cfg;
     const GridF &cap_h, &cap_v;
     const GridF &hist_h, &hist_v;
     GridF &dem_h, &dem_v;
     GridF &cost_h, &cost_v;
-    GridF* bend_vias;
-    int ox = 0, oy = 0;
+    GridF& bend_vias;
 
     RouteState(const RouterConfig& c, RouterScratch& ws)
         : cfg(c),
@@ -153,33 +145,7 @@ struct RouteState {
           dem_v(ws.dem_v),
           cost_h(ws.cost_h),
           cost_v(ws.cost_v),
-          bend_vias(&ws.bend_vias) {}
-
-    /// Window copy of `live` for speculation (the copies are filled here).
-    RouteState(const RouteState& live, RerouteSlot& slot, const CellWindow& w)
-        : cfg(live.cfg),
-          cap_h(live.cap_h),
-          cap_v(live.cap_v),
-          hist_h(live.hist_h),
-          hist_v(live.hist_v),
-          dem_h(slot.dem_h),
-          dem_v(slot.dem_v),
-          cost_h(slot.cost_h),
-          cost_v(slot.cost_v),
-          bend_vias(nullptr),
-          ox(w.x0),
-          oy(w.y0) {
-        copy_window(live.dem_h, w, dem_h);
-        copy_window(live.dem_v, w, dem_v);
-        copy_window(live.cost_h, w, cost_h);
-        copy_window(live.cost_v, w, cost_v);
-    }
-
-    static void copy_window(const GridF& src, const CellWindow& w, GridF& dst) {
-        dst.resize(w.width(), w.height());  // within capacity: no allocation
-        for (int y = 0; y < w.height(); ++y)
-            std::copy_n(&src.at(w.x0, w.y0 + y), w.width(), &dst.at(0, y));
-    }
+          bend_vias(ws.bend_vias) {}
 
     double cell_cost(double dem, double cap, double hist) const {
         const double util = (dem + 1.0) / cap;
@@ -189,10 +155,10 @@ struct RouteState {
     }
 
     void refresh_cost(int x, int y) {
-        cost_h.at(x, y) = cell_cost(dem_h.at(x, y), cap_h.at(x + ox, y + oy),
-                                    hist_h.at(x + ox, y + oy));
-        cost_v.at(x, y) = cell_cost(dem_v.at(x, y), cap_v.at(x + ox, y + oy),
-                                    hist_v.at(x + ox, y + oy));
+        cost_h.at(x, y) =
+            cell_cost(dem_h.at(x, y), cap_h.at(x, y), hist_h.at(x, y));
+        cost_v.at(x, y) =
+            cell_cost(dem_v.at(x, y), cap_v.at(x, y), hist_v.at(x, y));
     }
 
     /// Elementwise, so the parallel version is trivially deterministic.
@@ -223,17 +189,15 @@ struct RouteState {
             }
         }
         // One via per bend, charged at the end cell of the earlier span.
-        if (bend_vias == nullptr) return;
         for (size_t i = 0; i + 1 < p.segs.size(); ++i) {
-            bend_vias->at(p.segs[i].x1, p.segs[i].y1) += sign;
+            bend_vias.at(p.segs[i].x1, p.segs[i].y1) += sign;
         }
     }
 
-    /// Route connection a-b (in this state's coordinates, its old path
-    /// already ripped up) into `p`: the pattern route, escalated to a maze
-    /// search when L/Z patterns cannot escape the overflow (maze cost <=
-    /// pattern cost by construction). Read-only on the grids, and every
-    /// cell it reads lies in the maze window of a-b.
+    /// Route connection a-b (its old path already ripped up) into `p`:
+    /// the pattern route, escalated to a maze search when L/Z patterns
+    /// cannot escape the overflow (maze cost <= pattern cost by
+    /// construction). Read-only on the grids.
     void route(int ax, int ay, int bx, int by, PatternScratch& ps,
                RoutePath& p) const {
         const RouteCostModel model{&cost_h, &cost_v, 1.0};
@@ -251,12 +215,12 @@ struct RouteState {
             if (s.horizontal()) {
                 const int lo = std::min(s.x0, s.x1), hi = std::max(s.x0, s.x1);
                 for (int x = lo; x <= hi; ++x)
-                    if (dem_h.at(x, s.y0) > cap_h.at(x + ox, s.y0 + oy))
+                    if (dem_h.at(x, s.y0) > cap_h.at(x, s.y0))
                         return true;
             } else {
                 const int lo = std::min(s.y0, s.y1), hi = std::max(s.y0, s.y1);
                 for (int y = lo; y <= hi; ++y)
-                    if (dem_v.at(s.x0, y) > cap_v.at(s.x0 + ox, y + oy))
+                    if (dem_v.at(s.x0, y) > cap_v.at(s.x0, y))
                         return true;
             }
         }
@@ -289,13 +253,13 @@ struct RouteState {
                 const int lo = std::min(s.x0, s.x1), hi = std::max(s.x0, s.x1);
                 for (int x = lo; x <= hi; ++x)
                     if (dem_h.at(x, s.y0) + coverage(true, x, s.y0) >
-                        cap_h.at(x + ox, s.y0 + oy))
+                        cap_h.at(x, s.y0))
                         return true;
             } else {
                 const int lo = std::min(s.y0, s.y1), hi = std::max(s.y0, s.y1);
                 for (int y = lo; y <= hi; ++y)
                     if (dem_v.at(s.x0, y) + coverage(false, s.x0, y) >
-                        cap_v.at(s.x0 + ox, y + oy))
+                        cap_v.at(s.x0, y))
                         return true;
             }
         }
@@ -321,133 +285,19 @@ void accumulate_path(GridF& dem_h, GridF& dem_v, GridF& bend_vias,
         bend_vias.at(p.segs[i].x1, p.segs[i].y1) += 1.0;
 }
 
-/// Shift every span of `p` by (dx, dy).
-void translate(RoutePath& p, int dx, int dy) {
-    for (RouteSeg& s : p.segs) {
-        s.x0 += dx;
-        s.x1 += dx;
-        s.y0 += dy;
-        s.y1 += dy;
-    }
-}
-
-/// One rip-up-and-reroute pass over `order`, bitwise identical to
-/// rerouting every connection that overflows, one at a time in order
-/// (DESIGN.md §9). It runs in waves of the next K = helpers.width()
-/// overflowing connections, rerouted at once: the first on the live grids
-/// (it commits first), each other one on a copy of its maze window, while
-/// that window covers at most 1/K of the grid. The leader then commits
-/// the wave in order for as long as no span committed since the copies
-/// were taken touches the next window. At one thread every wave is one
-/// reroute on the live grids: the serial loop.
+/// One rip-up-and-reroute pass: every connection of `order` whose path
+/// overflows when its turn comes is ripped up, rerouted against the
+/// current costs and committed, one at a time, so each reroute sees every
+/// commit before it (DESIGN.md §9).
 void reroute_pass(RouteState& st, RouterScratch& ws,
-                  const std::vector<RouteConn>& conns, par::Helpers& helpers,
-                  int& spec_committed, int& spec_discarded) {
-    const int nx = st.cost_h.width(), ny = st.cost_h.height();
-    const size_t width = static_cast<size_t>(helpers.width());
-    // K larger windows cannot all be disjoint.
-    const long long max_area =
-        static_cast<long long>(nx) * ny / static_cast<long long>(width);
-    if (ws.wave.size() < width) ws.wave.resize(width);
-    if (ws.slots.size() < width) {
-        ws.slots.resize(width);
-        // A lone participant copies nothing: its waves are one reroute.
-        if (width > 1)
-            for (RerouteSlot& sl : ws.slots)
-                for (GridF* g : {&sl.cost_h, &sl.cost_v, &sl.dem_h, &sl.dem_v})
-                    g->raw().reserve(static_cast<size_t>(max_area));
-    }
-    std::vector<RoutePath>& paths = ws.paths;
-    const std::vector<int>& order = ws.order;
-    std::vector<WaveTask>& wave = ws.wave;
-    std::vector<RouteSeg>& spans = ws.wave_spans;
-    auto path_of = [&](int conn) -> RoutePath& {
-        return paths[static_cast<size_t>(conn)];
-    };
-
-    // Reroute wave member i. The first is routed in place on the live
-    // grids; every other one on a copy of its window: everything its
-    // reroute reads lies there, and the kernels give the same result on a
-    // translated copy.
-    const std::function<void(size_t, int)> reroute_member = [&](size_t i,
-                                                                int slot) {
-        WaveTask& t = wave[i];
-        const RouteConn& c = conns[static_cast<size_t>(t.conn)];
-        RerouteSlot& sl = ws.slots[static_cast<size_t>(slot)];
-        if (i == 0) {
-            st.route(c.ax, c.ay, c.bx, c.by, sl.pattern, path_of(t.conn));
-            return;
-        }
-        const CellWindow& w = t.window;
-        RouteState local(st, sl, w);
-        t.path.segs = path_of(t.conn).segs;
-        translate(t.path, -w.x0, -w.y0);
-        local.commit(t.path, -1.0);
-        local.route(c.ax - w.x0, c.ay - w.y0, c.bx - w.x0, c.by - w.y0,
-                    sl.pattern, t.path);
-        translate(t.path, w.x0, w.y0);
-    };
-
-    size_t pos = 0;
-    while (true) {
-        // The wave: the next overflowing connections in order, ending
-        // before a second one whose window is too large to copy.
-        size_t n = 0;
-        for (size_t q = pos; q < order.size() && n < width; ++q) {
-            const int idx = order[q];
-            if (!st.path_overflows(path_of(idx))) continue;
-            const RouteConn& c = conns[static_cast<size_t>(idx)];
-            const CellWindow w =
-                maze_window(c.ax, c.ay, c.bx, c.by, nx, ny, st.cfg.maze);
-            if (n > 0 && w.area() > max_area) break;
-            wave[n].pos = static_cast<int>(q);
-            wave[n].conn = idx;
-            wave[n].window = w;
-            ++n;
-        }
-        if (n == 0) return;
-
-        // The first member is ripped up on the live grids before the
-        // copies are taken, so its later commit is the only change of
-        // the wave the copies have not seen.
-        st.commit(path_of(wave[0].conn), -1.0);
-        helpers.run(n, reroute_member);
-
-        // Commit walk, in order. It stops at the first member whose window
-        // a commit of this wave touched, or at a connection between two
-        // members that the commits pushed into overflow (the serial loop
-        // reroutes it there); the next wave starts at that point.
-        const RoutePath& first = path_of(wave[0].conn);
-        st.commit(first, +1.0);
-        if (n > 1) spans.assign(first.segs.begin(), first.segs.end());
-        pos = static_cast<size_t>(wave[n - 1].pos) + 1;
-        size_t accepted = 1;
-        for (; accepted < n; ++accepted) {
-            WaveTask& t = wave[accepted];
-            size_t q = static_cast<size_t>(wave[accepted - 1].pos) + 1;
-            while (q < static_cast<size_t>(t.pos) &&
-                   !st.path_overflows(path_of(order[q])))
-                ++q;
-            if (q < static_cast<size_t>(t.pos)) {
-                pos = q;
-                break;
-            }
-            if (std::any_of(spans.begin(), spans.end(), [&](const RouteSeg& s) {
-                    return t.window.touches(s);
-                })) {
-                pos = static_cast<size_t>(t.pos);
-                break;
-            }
-            RoutePath& p = path_of(t.conn);
-            assert(st.path_overflows(p));
-            st.commit(p, -1.0);
-            spans.insert(spans.end(), p.segs.begin(), p.segs.end());
-            p.segs.swap(t.path.segs);
-            st.commit(p, +1.0);
-            spans.insert(spans.end(), p.segs.begin(), p.segs.end());
-        }
-        spec_committed += static_cast<int>(accepted - 1);
-        spec_discarded += static_cast<int>(n - accepted);
+                  const std::vector<RouteConn>& conns) {
+    for (const int idx : ws.order) {
+        RoutePath& p = ws.paths[static_cast<size_t>(idx)];
+        if (!st.path_overflows(p)) continue;
+        const RouteConn& c = conns[static_cast<size_t>(idx)];
+        st.commit(p, -1.0);
+        st.route(c.ax, c.ay, c.bx, c.by, ws.pattern, p);
+        st.commit(p, +1.0);
     }
 }
 
@@ -595,18 +445,6 @@ RouteResult GlobalRouter::route_impl(const Design& d, RouterScratch& ws) const {
     ws.best_dem_v = ws.dem_v;
     ws.best_bends = ws.bend_vias;
     int rounds_executed = 0, rounds_stalled = 0;
-    int spec_committed = 0, spec_discarded = 0;
-    // A wave member's window may cover nx·ny/K cells at most. Below the
-    // area of a window that the grid edge does not clamp, (2·margin + 1)²,
-    // only edge windows could join a wave, and the waves cost more than
-    // they save: route on the leader alone (DESIGN.md §9).
-    const int threads = par::max_threads();
-    const long long margin_window = 2LL * cfg_.maze.window_margin + 1;
-    const int wave_width =
-        static_cast<long long>(nx) * ny / threads <
-                margin_window * margin_window
-            ? 1
-            : threads;
 
     for (int round = 0; round < cfg_.rrr_rounds; ++round) {
         // Grow history costs where utilization exceeds capacity. Elementwise
@@ -638,15 +476,7 @@ RouteResult GlobalRouter::route_impl(const Design& d, RouterScratch& ws) const {
         if (!any_overflow) break;
         ++rounds_executed;
         st.refresh_all_costs();
-
-        // One leader/helper region per round (DESIGN.md §9), or the
-        // leader alone where no window of an unclamped margin fits a wave.
-        par::with_helpers(
-            [&](par::Helpers& helpers) {
-                reroute_pass(st, ws, conns, helpers, spec_committed,
-                             spec_discarded);
-            },
-            wave_width);
+        reroute_pass(st, ws, conns);
 
         // Invariant audit: a rip-up/reroute round must leave edge usage
         // equal to the committed segments (every commit(-1) matched by a
@@ -702,8 +532,6 @@ RouteResult GlobalRouter::route_impl(const Design& d, RouterScratch& ws) const {
     res.overflowed_gcells = res.congestion.overflowed_cells();
     res.rrr_rounds_executed = rounds_executed;
     res.rrr_rounds_stalled = rounds_stalled;
-    res.rrr_spec_committed = spec_committed;
-    res.rrr_spec_discarded = spec_discarded;
     res.inc_conns_total = static_cast<int>(conns.size());
     res.inc_conns_rerouted = res.inc_conns_total;
 

@@ -84,25 +84,6 @@ struct RouteConn {
     int len = 0;         ///< bin-space Manhattan length (routing-order key)
 };
 
-/// One participant's rip-up-and-reroute buffers (DESIGN.md §9): pattern
-/// scratch and the window-local copies of the cost and demand grids,
-/// reserved once for the largest window a wave may copy.
-struct RerouteSlot {
-    GridF cost_h, cost_v;
-    GridF dem_h, dem_v;
-    PatternScratch pattern;
-};
-
-/// One reroute of an RRR wave: the connection, its position in the
-/// routing order, its maze window, and the path a window copy gave it
-/// (grid coordinates; the first member is routed in place).
-struct WaveTask {
-    int pos = 0;
-    int conn = 0;
-    CellWindow window;
-    RoutePath path;
-};
-
 /// Reusable per-call routing buffers. Every call overwrites all of them,
 /// so a scratch passed through consecutive route() calls only saves the
 /// allocations; a route() without one carries a short-lived instance.
@@ -118,9 +99,7 @@ struct RouterScratch {
     std::vector<RoutePath> paths;       ///< working routes mutated by RRR
     std::vector<RoutePath> best_paths;  ///< best-overflow snapshot
     std::vector<int> order;             ///< routing order (short first)
-    std::vector<RerouteSlot> slots;     ///< per wave participant
-    std::vector<WaveTask> wave;         ///< the current RRR wave
-    std::vector<RouteSeg> wave_spans;   ///< spans the wave committed
+    PatternScratch pattern;             ///< RRR's pattern-route buffers
 
     /// Size every working grid to nx x ny and zero it (keeps capacity).
     void reset(int nx, int ny);
@@ -150,13 +129,6 @@ struct RouteResult {
     /// signal the recovery layer (src/recover) consumes.
     int rrr_rounds_executed = 0;
     int rrr_rounds_stalled = 0;
-    /// Speculative rip-up-and-reroute (DESIGN.md §9): reroutes computed
-    /// on window copies by a wave and committed, or discarded because the
-    /// wave's commit walk stopped at or before them. Reporting only; both
-    /// are 0 at one thread and vary with the thread count, while the
-    /// routing result does not.
-    int rrr_spec_committed = 0;
-    int rrr_spec_discarded = 0;
     /// Connections routed by this call, both set to the same count. Kept
     /// for bench_e2e's link-time wrap, which sums them; delete with
     /// ROADMAP item 3.

@@ -7,7 +7,6 @@
 // of production global routers. The search is goal-directed (A*), and its
 // answer is certified per call against a binary-heap Dijkstra search.
 
-#include <algorithm>
 #include <optional>
 
 #include "router/pattern_route.hpp"
@@ -26,14 +25,6 @@ struct CellWindow {
 
     int width() const { return x1 - x0 + 1; }
     int height() const { return y1 - y0 + 1; }
-    long long area() const {
-        return static_cast<long long>(width()) * height();
-    }
-    /// Does the window share a cell with the span's box?
-    bool touches(const RouteSeg& s) const {
-        return std::min(s.x0, s.x1) <= x1 && std::max(s.x0, s.x1) >= x0 &&
-               std::min(s.y0, s.y1) <= y1 && std::max(s.y0, s.y1) >= y0;
-    }
 };
 
 /// The window maze_route searches between (x0,y0) and (x1,y1) on an

@@ -4,6 +4,7 @@
 // config before any work, so a bad value fails there with a message naming
 // the field instead of crashing or silently misbehaving deep in a kernel.
 
+#include <bit>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -40,6 +41,14 @@ inline void require_at_most(const std::string& field, double value,
     std::ostringstream msg;
     msg << "must be <= " << max << ", got " << value;
     throw ConfigError(field, msg.str());
+}
+
+/// Throws ConfigError unless value is a power of two (1, 2, 4, ...): for a
+/// grid size the spectral kernels need as given.
+inline void require_power_of_two(const std::string& field, int value) {
+    if (value > 0 && std::has_single_bit(static_cast<unsigned>(value))) return;
+    throw ConfigError(field,
+                      "must be a power of two, got " + std::to_string(value));
 }
 
 /// Throws ConfigError unless value > 0 (NaN fails too): for a value that

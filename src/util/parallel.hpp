@@ -20,7 +20,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -97,48 +96,6 @@ double parallel_sum(size_t n, size_t grain, ChunkFn&& chunk_fn,
         n, grain, 0.0, std::forward<ChunkFn>(chunk_fn),
         [](double a, double b) { return a + b; }, max_chunks);
 }
-
-/// Leader/helper region for a serial loop that hands small batches of
-/// independent tasks to the pool many times over (the router's
-/// speculative rip-up-and-reroute waves). One pool region serves the whole
-/// loop: the pool threads join as helpers, claim the tasks of each batch
-/// through an atomic counter, spin briefly between batches, then park.
-/// The leader takes part in every batch and waits only for tasks a helper
-/// has already claimed, so a region whose helpers never arrive — nested
-/// inside another region, under a 1-thread pool, or on an oversubscribed
-/// host — still completes, inline on the leader.
-class Helpers {
-public:
-    Helpers(const Helpers&) = delete;
-    Helpers& operator=(const Helpers&) = delete;
-
-    /// Participants that may run tasks at once: the leader plus the pool
-    /// threads admitted to the region; 1 when the region runs inline.
-    int width() const { return width_; }
-
-    /// Run task(i, slot) for every i in [0, n); returns when all are done.
-    /// `slot` in [0, width()) names the participant running the task (0 is
-    /// the leader). A participant runs one task at a time, so per-slot
-    /// scratch needs no locking; which slot runs which task varies from
-    /// run to run, so results must not depend on it.
-    void run(size_t n, const std::function<void(size_t, int)>& task);
-
-private:
-    struct Shared;  // batch hand-off state (parallel.cpp)
-    friend void with_helpers(const std::function<void(Helpers&)>& body,
-                             int max_width);
-    Helpers(Shared* shared, int width) : shared_(shared), width_(width) {}
-
-    Shared* shared_;
-    int width_;
-};
-
-/// Run body(helpers) on the calling thread inside one leader/helper region
-/// of min(max_threads(), max_width) participants; at one, the region runs
-/// inline and no pool thread is woken. Nested parallel calls made by the
-/// body or by the tasks run inline. body and tasks must not throw.
-void with_helpers(const std::function<void(Helpers&)>& body,
-                  int max_width = std::numeric_limits<int>::max());
 
 }  // namespace par
 }  // namespace rdp

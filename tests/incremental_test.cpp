@@ -18,7 +18,7 @@ namespace rdp {
 namespace {
 
 /// Bitwise comparison of everything a RouteResult reports about the
-/// routing (the speculation counters vary with the thread count).
+/// routing.
 void expect_same_routing(const RouteResult& a, const RouteResult& b) {
     EXPECT_TRUE(a.demand_h == b.demand_h);
     EXPECT_TRUE(a.demand_v == b.demand_v);

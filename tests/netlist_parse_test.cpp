@@ -1,9 +1,11 @@
 // Equivalence harness for the streaming design reader (db/netlist_io.cpp).
 //
-// The oracle is the iostream reader that read_design replaced, kept here
-// verbatim apart from the row cap both readers gained since: one
+// The oracle is the iostream reader that read_design replaced: one
 // std::istringstream per line, every field parsed with the C-locale
-// operator>>. Every input below, whether a workload design, a
+// operator>>. It is kept verbatim apart from the rules both readers gained
+// since: the row cap, a number that must end at whitespace, no field left
+// over after a directive's last, and a bad pin index anywhere in a net's
+// list. Every input below, whether a workload design, a
 // fixture or one of the seeded mutants, must give the oracle's outcome
 // exactly: a bitwise-equal Design, or a ParseError with the same line and
 // reason, or the same other exception.
@@ -34,6 +36,12 @@ namespace {
 
 namespace oracle {
 
+/// operator>> into `v`, which must end at whitespace or at the line's end.
+template <typename T>
+bool field(std::istream& ss, T& v) {
+    return (ss >> v) && (ss.eof() || std::isspace(ss.peek()));
+}
+
 CellKind parse_kind(const std::string& s, int line) {
     if (s == "mov") return CellKind::Movable;
     if (s == "fix") return CellKind::Fixed;
@@ -61,8 +69,8 @@ Design read_design(std::istream& is) {
         if (tok == "design") {
             ss >> d.name;
         } else if (tok == "region") {
-            if (!(ss >> d.region.lx >> d.region.ly >> d.region.hx >>
-                  d.region.hy))
+            if (!(field(ss, d.region.lx) && field(ss, d.region.ly) &&
+                  field(ss, d.region.hx) && field(ss, d.region.hy)))
                 fail("bad region");
             finite(d.region.lx, "region coordinate");
             finite(d.region.ly, "region coordinate");
@@ -72,18 +80,20 @@ Design read_design(std::istream& is) {
                 fail("region has non-positive extent");
             rows_line = line_no;
         } else if (tok == "rowheight") {
-            if (!(ss >> d.row_height)) fail("bad rowheight");
+            if (!field(ss, d.row_height)) fail("bad rowheight");
             if (!std::isfinite(d.row_height) || d.row_height <= 0.0)
                 fail("rowheight must be finite and positive");
             rows_line = line_no;
         } else if (tok == "sitewidth") {
-            if (!(ss >> d.site_width)) fail("bad sitewidth");
+            if (!field(ss, d.site_width)) fail("bad sitewidth");
             if (!std::isfinite(d.site_width) || d.site_width <= 0.0)
                 fail("sitewidth must be finite and positive");
         } else if (tok == "cell") {
             std::string nm, kind;
             double w, h, cx, cy;
-            if (!(ss >> nm >> kind >> w >> h >> cx >> cy)) fail("bad cell");
+            if (!((ss >> nm >> kind) && field(ss, w) && field(ss, h) &&
+                  field(ss, cx) && field(ss, cy)))
+                fail("bad cell");
             finite(w, "cell width");
             finite(h, "cell height");
             finite(cx, "cell position");
@@ -93,7 +103,8 @@ Design read_design(std::istream& is) {
         } else if (tok == "pin") {
             int cell;
             double dx, dy;
-            if (!(ss >> cell >> dx >> dy)) fail("bad pin");
+            if (!(field(ss, cell) && field(ss, dx) && field(ss, dy)))
+                fail("bad pin");
             if (cell < 0 || cell >= d.num_cells()) fail("pin on missing cell");
             finite(dx, "pin offset");
             finite(dy, "pin offset");
@@ -101,22 +112,24 @@ Design read_design(std::istream& is) {
         } else if (tok == "net") {
             std::string nm;
             double wgt;
-            if (!(ss >> nm >> wgt)) fail("bad net");
+            if (!((ss >> nm) && field(ss, wgt))) fail("bad net");
             if (!std::isfinite(wgt) || wgt < 0.0)
                 fail("net weight must be finite and non-negative");
             const int net = d.add_net(nm, wgt);
             int pin;
-            while (ss >> pin) {
+            while (!(ss >> std::ws).eof()) {
+                if (!field(ss, pin)) fail("bad pin index");
                 if (pin < 0 || pin >= d.num_pins()) fail("net on missing pin");
                 if (d.pins[static_cast<size_t>(pin)].net != -1)
                     fail("pin " + std::to_string(pin) +
                          " is already connected");
                 d.connect(net, pin);
             }
-            if (!ss.eof()) fail("bad pin index");
         } else if (tok == "blockage") {
             Rect b;
-            if (!(ss >> b.lx >> b.ly >> b.hx >> b.hy)) fail("bad blockage");
+            if (!(field(ss, b.lx) && field(ss, b.ly) && field(ss, b.hx) &&
+                  field(ss, b.hy)))
+                fail("bad blockage");
             finite(b.lx, "blockage coordinate");
             finite(b.ly, "blockage coordinate");
             finite(b.hx, "blockage coordinate");
@@ -125,7 +138,9 @@ Design read_design(std::istream& is) {
         } else if (tok == "rail") {
             std::string o;
             Rect b;
-            if (!(ss >> o >> b.lx >> b.ly >> b.hx >> b.hy)) fail("bad rail");
+            if (!((ss >> o) && field(ss, b.lx) && field(ss, b.ly) &&
+                  field(ss, b.hx) && field(ss, b.hy)))
+                fail("bad rail");
             if (o != "h" && o != "v")
                 fail("bad rail orientation '" + o + "'");
             finite(b.lx, "rail coordinate");
@@ -139,6 +154,8 @@ Design read_design(std::istream& is) {
         } else {
             fail("unknown directive '" + tok + "'");
         }
+        std::string extra;
+        if (ss >> extra) fail("extra field '" + extra + "'");
     }
     // The row cap: at most 1,000,000 rows, named by the last line that set
     // the region or the row height.
@@ -641,8 +658,8 @@ TEST(ReaderEquivalenceTest, NumberSyntaxMatchesOperatorExtraction) {
     // The cases the reader's number syntax spells out (DESIGN.md).
     const Design d = read(head +
                           "cell b mov +1 .5 5. 1e-400\n"
-                          "cell c mov 1 1 -1e-400 4junk\n"
-                          "pin 0 0 0\npin 0 0 0\nnet n 1 0 1 +\n");
+                          "cell c mov 1 1 -1e-400 4\n"
+                          "pin 0 0 0\npin 0 0 0\nnet n 1 0 +1\t\r\n");
     EXPECT_EQ(d.cells[1].width, 1.0);
     EXPECT_EQ(d.cells[1].height, 0.5);
     EXPECT_EQ(d.cells[1].pos.x, 5.0);
@@ -655,7 +672,31 @@ TEST(ReaderEquivalenceTest, NumberSyntaxMatchesOperatorExtraction) {
         EXPECT_THROW(read(head + "cell b mov 1 1 " + bad + " 5\n"), ParseError)
             << bad;
     EXPECT_THROW(read(head + "pin 2147483648 0 0\n"), ParseError);
-    EXPECT_THROW(read(head + "pin 0 0 0\nnet n 1 0junk\n"), ParseError);
+    // A number ends at whitespace, a line ends after its last field, and
+    // every index of a net's list must parse, the last one included.
+    const struct {
+        const char* text;
+        const char* reason;
+    } kRejected[] = {
+        {"pin 1.5 0 0\n", "bad pin"},
+        {"cell c mov 1 1 5 5junk\n", "bad cell"},
+        {"cell c mov 1 1 5 4.5.\n", "bad cell"},
+        {"pin 0 0 0\nnet n 1 0junk\n", "bad pin index"},
+        {"pin 0 0 0\nnet n 1 0 2147483648\n", "bad pin index"},
+        {"pin 0 0 0\nnet n 1 0 +\n", "bad pin index"},
+        {"pin 0 0 0\nnet n 1 0 -\r\n", "bad pin index"},
+        {"pin 0 0 0 7\n", "extra field '7'"},
+        {"cell c mov 1 1 5 5 tail\n", "extra field 'tail'"},
+        {"rowheight 1 # comment\n", "extra field '#'"},
+    };
+    for (const auto& c : kRejected) {
+        const Outcome o = expect_same(head + c.text, c.text);
+        EXPECT_TRUE(o.error.starts_with("ParseError at line ")) << c.text;
+        EXPECT_TRUE(o.error.ends_with(std::string(": ") + c.reason))
+            << c.text << " gave " << o.error;
+    }
+    const Outcome named = expect_same("design a b\n", "two design names");
+    EXPECT_EQ(named.error, "ParseError at line 1: extra field 'b'");
 }
 
 TEST(ReaderEquivalenceTest, RowCountAboveTheCapIsAParseError) {

@@ -217,6 +217,8 @@ TEST(ConfigValidationTest, PlaceRejectsOutOfDomainFields) {
         // Unchecked, silently places on a 1 x 1 grid.
         {"grid_bins", [](PlacerConfig& c) { c.grid_bins = -8; }},
         {"grid_bins", [](PlacerConfig& c) { c.grid_bins = 0; }},
+        // Unchecked, silently rounded up to a 64 x 64 grid.
+        {"grid_bins", [](PlacerConfig& c) { c.grid_bins = 48; }},
         {"max_wl_iters", [](PlacerConfig& c) { c.max_wl_iters = -1; }},
         {"inner_iters", [](PlacerConfig& c) { c.inner_iters = -1; }},
         {"max_route_iters", [](PlacerConfig& c) { c.max_route_iters = -1; }},
@@ -364,6 +366,8 @@ TEST(ConfigValidationTest, EvaluatePlacementRejectsOutOfDomainFields) {
     const Design d = generate_circuit(small_cfg());
     EvalConfig bins;
     bins.grid_bins = 0;
+    EXPECT_THROW(evaluate_placement(d, bins), ConfigError);
+    bins.grid_bins = 96;  // unchecked, silently rounded up to 128
     EXPECT_THROW(evaluate_placement(d, bins), ConfigError);
     EvalConfig margin;
     margin.router.maze.window_margin = -1;

@@ -263,9 +263,10 @@ TEST_F(MazeRouteTest, WindowClampsSearch) {
     }
 }
 
-/// The exactness of speculative rip-up-and-reroute (DESIGN.md §9) rests on
-/// this property: routed on a copy of its maze window with translated
-/// endpoints, a connection gets the translated full-grid route and cost,
+/// Window locality of the routing kernels: a connection's pattern and maze
+/// routes read no cost outside its maze window, and depend on nothing but
+/// the costs inside it. Routed on a copy of that window with translated
+/// endpoints, the connection gets the translated full-grid route and cost,
 /// bit for bit. Rectangular grid, so a swapped axis cannot hide.
 class WindowTranslationTest : public ::testing::Test {
 protected:
