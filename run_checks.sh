@@ -12,12 +12,14 @@
 #                        portable fallback backend must pass everything the
 #                        native-SIMD build passes, bit for bit)
 #   6. release build     CMAKE_BUILD_TYPE=Release (-O3) + ctest -L simd,
-#                        -L golden, -L parallel and -L router: the
-#                        determinism contract must survive GCC's -O3
-#                        vectorizer too, and so must the maze search's tie
-#                        certificate, which compares doubles for equality;
-#                        then a Release RDP_SIMD=scalar build + ctest
-#                        -L golden, -L simd and -L router (the scalar
+#                        -L golden, -L parallel, -L router and -L
+#                        objective: the determinism contract must survive
+#                        GCC's -O3 vectorizer too, and so must the maze
+#                        search's tie certificate, which compares doubles
+#                        for equality, and the pin-slot objective kernels'
+#                        bitwise match with their per-chunk oracles; then a
+#                        Release RDP_SIMD=scalar build + ctest -L golden,
+#                        -L simd, -L router and -L objective (the scalar
 #                        backend at -O3 must still give the pinned digests,
 #                        and the goal-directed maze search, whose keys add
 #                        and multiply, must still match the heap's paths
@@ -28,7 +30,8 @@
 #                        (fault injection), ctest -L router (reused router
 #                        scratch, maze search equivalence),
 #                        ctest -L poisson (spectral
-#                        kernels), ctest -L
+#                        kernels), ctest -L objective (pin-slot
+#                        gradients and their oracles), ctest -L
 #                        simd (vector backends / stable_exp / kernel
 #                        equivalence), and ctest -L persist (durable
 #                        checkpoint format + crash/resume kill-point
@@ -128,6 +131,7 @@ if cmake -B build-checks -S . -DRDP_WERROR=ON >/dev/null &&
     require_label build-checks golden
     require_label build-checks bench
     require_label build-checks parse
+    require_label build-checks objective
     if ! ctest --test-dir build-checks --output-on-failure -j "$JOBS"; then
         record_failure "default ctest"
     fi
@@ -192,10 +196,10 @@ fi
 # rewrites more loops (DESIGN.md §14); the cross-backend, golden-digest and
 # thread-count contracts must hold there as well, and the maze search must
 # still return the binary-heap reference's paths (DESIGN.md §17).
-note "release build (CMAKE_BUILD_TYPE=Release) + ctest -L simd/golden/parallel/router"
+note "release build (CMAKE_BUILD_TYPE=Release) + ctest -L simd/golden/parallel/router/objective"
 if cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null &&
    cmake --build build-release -j "$JOBS"; then
-    for label in simd golden parallel router; do
+    for label in simd golden parallel router objective; do
         if require_label build-release "$label"; then
             if ! ctest --test-dir build-release -L "$label" \
                        --output-on-failure -j "$JOBS"; then
@@ -210,12 +214,13 @@ fi
 # The scalar backend at -O3: GCC may fuse or vectorize the portable
 # fallback's loops differently from the native backend's (DESIGN.md §14),
 # and the golden digests must hold there too. The maze search's keys and
-# tie certificate (DESIGN.md §17) must also hold in a build without FMA.
-note "release scalar build (Release, RDP_SIMD=scalar) + ctest -L golden/simd/router"
+# tie certificate (DESIGN.md §17) must also hold in a build without FMA,
+# and so must the objective kernels' match with their oracles.
+note "release scalar build (Release, RDP_SIMD=scalar) + ctest -L golden/simd/router/objective"
 if cmake -B build-release-scalar -S . -DCMAKE_BUILD_TYPE=Release \
          -DRDP_SIMD=scalar >/dev/null &&
    cmake --build build-release-scalar -j "$JOBS"; then
-    for label in golden simd router; do
+    for label in golden simd router objective; do
         if require_label build-release-scalar "$label"; then
             if ! ctest --test-dir build-release-scalar -L "$label" \
                        --output-on-failure -j "$JOBS"; then
@@ -280,6 +285,17 @@ if [[ "$FAST" == 0 ]]; then
         if ! ctest --test-dir build-san-address-undefined -L poisson \
                    --output-on-failure -j "$JOBS"; then
             record_failure "spectral kernels (asan+ubsan)"
+        fi
+    fi
+
+    # Objective kernels under ASan+UBSan: the pin-slot writes, the CSR
+    # gather and the lane-per-net WA batches (short last batches) index
+    # flat per-pin buffers, where an off-by-one is silent in a plain build.
+    note "objective kernels under ASan+UBSan (ctest -L objective)"
+    if require_label build-san-address-undefined objective; then
+        if ! ctest --test-dir build-san-address-undefined -L objective \
+                   --output-on-failure -j "$JOBS"; then
+            record_failure "objective kernels (asan+ubsan)"
         fi
     fi
 

@@ -13,12 +13,19 @@
 //     sitting in a G-cell with Eq. (3) congestion above a threshold) get
 //     the plain field gradient (Algorithm 2, lines 7-15).
 // Gradients superpose over all nets (Algorithm 2, closing remark).
+//
+// compute() writes each net's terms into its pin slots (db/pin_slots.hpp)
+// and gathers every movable cell's slots, with the same bits as the
+// per-chunk accumulators it replaced. The multi-pin selection of
+// Algorithm 2 depends on the cell only, so it runs once per cell.
 
+#include <memory>
 #include <vector>
 
 #include "congestion/congestion_field.hpp"
 #include "congestion/virtual_cell.hpp"
 #include "db/design.hpp"
+#include "db/pin_slots.hpp"
 
 namespace rdp {
 
@@ -37,8 +44,9 @@ struct NetMovingConfig {
     /// spikes orders of magnitude above everything else.
     double max_distance_scale = 16.0;
     /// EXTENSION (not in the paper): apply the virtual-cell net-moving
-    /// gradient to every MST edge of multi-pin nets as well, each edge
-    /// weighted by 1/(degree-1). The paper restricts Algorithm 1 to
+    /// gradient to every MST edge of multi-pin nets as well: each edge adds
+    /// its two Algorithm 1 endpoint terms, weighted by 1/(degree-1), to the
+    /// slots of its two endpoint pins. The paper restricts Algorithm 1 to
     /// two-pin nets and handles multi-pin nets only through Algorithm 2's
     /// cell moving; this generalizes the same mechanism to the tree edges.
     bool move_multi_pin_edges = false;
@@ -66,6 +74,14 @@ public:
 
     const NetMovingConfig& config() const { return cfg_; }
 
+    /// Compute through `slots` from now on, with buffers this object keeps
+    /// between calls (PlacementObjective::bind). compute() then needs a
+    /// design of the layout's netlist shape, and one instance must not
+    /// compute concurrently. nullptr (the default): a layout per call.
+    void set_slots(std::shared_ptr<const PinSlots> slots) {
+        slots_ = std::move(slots);
+    }
+
     /// Run Algorithm 2 over every net of the design.
     NetMovingResult compute(const Design& d, const CongestionMap& cmap,
                             const CongestionField& field) const;
@@ -80,7 +96,35 @@ public:
                                  std::vector<Vec2>& grad) const;
 
 private:
+    /// Algorithm 1 for the segment p1 -> p2: the virtual cell, and the two
+    /// endpoint gradients when the net is moved (`applied`).
+    struct TwoPinTerms {
+        VirtualCell vc;
+        bool applied = false;
+        Vec2 grad[2];
+    };
+    TwoPinTerms two_pin_terms(Vec2 p1, Vec2 p2, double virtual_area,
+                              const CongestionMap& cmap,
+                              const CongestionField& field) const;
+
+    /// Algorithm 2's multi-pin selection of one cell (lines 7-15).
+    struct MultiPin {
+        Vec2 grad;             ///< field gradient of the cell's charge
+        double penalty = 0.0;  ///< 1/2 A_i psi_i
+        bool selected = false;
+    };
+    /// Per-slot two-pin / MST terms and per-cell multi-pin selections.
+    struct Buffers {
+        std::vector<Vec2> terms;
+        std::vector<MultiPin> cells;
+    };
+    NetMovingResult compute_with(const Design& d, const CongestionMap& cmap,
+                                 const CongestionField& field,
+                                 const PinSlots& slots, Buffers& buf) const;
+
     NetMovingConfig cfg_;
+    std::shared_ptr<const PinSlots> slots_;
+    mutable Buffers buf_;
 };
 
 }  // namespace rdp

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "audit/invariant_audit.hpp"
 #include "grid/splat_kernel.hpp"
@@ -54,6 +55,22 @@ GridF ElectroDensity::movable_density(
     return rho;
 }
 
+GridF ElectroDensity::fixed_density(const Design& d) const {
+    GridF fixed = grid_.make_grid();
+    parallel_splat(grid_, fixed, d.cells.size(), 512,
+                   [&](GridF& g, size_t i) {
+                       const Cell& c = d.cells[i];
+                       if (c.movable()) return;
+                       grid_.splat_area(g, c.bbox());
+                   });
+    return fixed;
+}
+
+void ElectroDensity::set_fixed(const Design& d) {
+    fixed_ = fixed_density(d);
+    fixed_cells_ = d.cells.size();
+}
+
 DensityResult ElectroDensity::evaluate(const Design& d,
                                        const std::vector<double>* inflation,
                                        const GridF* extra_density) const {
@@ -64,12 +81,15 @@ DensityResult ElectroDensity::evaluate(const Design& d,
     // Movable charge (with inflation) and fixed obstruction charge.
     const GridF mov = movable_density(d, inflation);
     GridF rho = mov;
-    GridF fixed = grid_.make_grid();
-    parallel_splat(grid_, fixed, num_cells, 512, [&](GridF& g, size_t i) {
-        const Cell& c = d.cells[i];
-        if (c.movable()) return;
-        grid_.splat_area(g, c.bbox());
-    });
+    GridF local_fixed;
+    if (fixed_.empty()) {
+        local_fixed = fixed_density(d);
+    } else if (fixed_cells_ != num_cells) {
+        throw std::invalid_argument(
+            "ElectroDensity::evaluate: the design does not match the one "
+            "its fixed-cell density was built from");
+    }
+    const GridF& fixed = fixed_.empty() ? local_fixed : fixed_;
     // Fixed area beyond the target density acts as full charge; this keeps
     // macros repulsive without over-charging lightly blocked bins.
     grid_add(rho, fixed);

@@ -39,6 +39,12 @@ public:
     const BinGrid& grid() const { return grid_; }
     const DensityConfig& config() const { return cfg_; }
 
+    /// Splat `d`'s fixed cells once and reuse that grid in every later
+    /// evaluate() (PlacementObjective::bind): evaluate() then needs a
+    /// design with the same fixed cells in the same places. Without a call,
+    /// evaluate() splats them on every call.
+    void set_fixed(const Design& d);
+
     /// Evaluate penalty/gradient/overflow.
     /// `inflation`: optional per-cell area inflation ratios (size num_cells;
     /// only movable entries are used). `extra_density`: optional additional
@@ -53,8 +59,15 @@ public:
                           const std::vector<double>* inflation = nullptr) const;
 
 private:
+    /// Fixed-cell (obstruction) charge per bin.
+    GridF fixed_density(const Design& d) const;
+
     BinGrid grid_;
     DensityConfig cfg_;
+    /// set_fixed's grid and the cell count it was built for (empty and 0
+    /// until set_fixed).
+    GridF fixed_;
+    size_t fixed_cells_ = 0;
     PoissonSolver solver_;
     /// Persistent solve scratch + outputs: after the first evaluate() the
     /// Poisson stage performs no allocation. Mutable because evaluate() is

@@ -7,8 +7,14 @@
 namespace rdp {
 
 CongestionMap::CongestionMap(BinGrid grid, GridF demand, GridF capacity)
-    : grid_(grid), demand_(std::move(demand)), capacity_(std::move(capacity)) {
+    : grid_(grid),
+      demand_(std::move(demand)),
+      capacity_(std::move(capacity)),
+      congestion_(demand_.width(), demand_.height()) {
     assert(grid_.compatible(demand_) && grid_.compatible(capacity_));
+    for (int y = 0; y < congestion_.height(); ++y)
+        for (int x = 0; x < congestion_.width(); ++x)
+            congestion_.at(x, y) = std::max(utilization_at(x, y) - 1.0, 0.0);
 }
 
 double CongestionMap::utilization_at(int ix, int iy) const {
@@ -17,21 +23,9 @@ double CongestionMap::utilization_at(int ix, int iy) const {
     return demand_.at(ix, iy) / cap;
 }
 
-double CongestionMap::congestion_at(int ix, int iy) const {
-    return std::max(utilization_at(ix, iy) - 1.0, 0.0);
-}
-
 double CongestionMap::congestion_at_point(Vec2 p) const {
     const GridIndex g = grid_.index_of(p);
     return congestion_at(g.ix, g.iy);
-}
-
-GridF CongestionMap::congestion_grid() const {
-    GridF out(demand_.width(), demand_.height());
-    for (int y = 0; y < out.height(); ++y)
-        for (int x = 0; x < out.width(); ++x)
-            out.at(x, y) = congestion_at(x, y);
-    return out;
 }
 
 GridF CongestionMap::utilization_grid() const {

@@ -6,6 +6,8 @@
 //   C_{m,n}   = max(Dmd/Cap - 1, 0)          (Eq. (3), overflow congestion)
 //   rho_{m,n} = Dmd/Cap                      (charge density for the
 //                                             congestion Poisson field)
+// The Eq. (3) grid is computed once at construction, so congestion_at (the
+// inner loop of find_virtual_cell and of the multi-pin selection) is a load.
 
 #include "grid/bin_grid.hpp"
 #include "util/grid2d.hpp"
@@ -22,14 +24,16 @@ public:
     const GridF& capacity() const { return capacity_; }
 
     /// Eq. (3) congestion of one G-cell.
-    double congestion_at(int ix, int iy) const;
+    double congestion_at(int ix, int iy) const {
+        return congestion_.at(ix, iy);
+    }
     /// Eq. (3) congestion of the G-cell containing p.
     double congestion_at_point(Vec2 p) const;
     /// Demand / capacity of one G-cell (>= 0; 0 where capacity is 0).
     double utilization_at(int ix, int iy) const;
 
     /// Full Eq. (3) congestion grid.
-    GridF congestion_grid() const;
+    const GridF& congestion_grid() const { return congestion_; }
     /// Full Dmd/Cap grid (the rho of the congestion Poisson problem).
     GridF utilization_grid() const;
 
@@ -52,6 +56,7 @@ private:
     BinGrid grid_;
     GridF demand_;
     GridF capacity_;
+    GridF congestion_;  ///< Eq. (3) per G-cell
 };
 
 }  // namespace rdp

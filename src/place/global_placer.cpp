@@ -393,6 +393,7 @@ PlaceResult GlobalPlacer::place(const Design& input) const {
     PlacementObjective obj(grid, cfg.density, cfg.netmove,
                            cfg.gamma_frac *
                                std::max(grid.bin_w(), grid.bin_h()));
+    obj.bind(d);
 
     // ---- Stage 1: wirelength-driven GP ------------------------------------
     // Skipped entirely when resuming from a routability-stage snapshot:

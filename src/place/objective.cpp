@@ -1,6 +1,7 @@
 #include "place/objective.hpp"
 
 #include <cassert>
+#include <memory>
 
 #include "audit/invariant_audit.hpp"
 #include "congestion/lambda_schedule.hpp"
@@ -11,6 +12,13 @@ PlacementObjective::PlacementObjective(BinGrid grid, DensityConfig density_cfg,
                                        NetMovingConfig netmove_cfg,
                                        double gamma)
     : wa_(gamma), density_(grid, density_cfg), netmove_(netmove_cfg) {}
+
+void PlacementObjective::bind(const Design& d) {
+    const auto slots = std::make_shared<const PinSlots>(d);
+    wa_.set_slots(slots);
+    netmove_.set_slots(slots);
+    density_.set_fixed(d);
+}
 
 ObjectiveTerms PlacementObjective::evaluate(Design& d,
                                             const std::vector<int>& movable,
@@ -61,8 +69,7 @@ ObjectiveTerms PlacementObjective::evaluate(Design& d,
         terms.lambda2 =
             lambda2_scale_ *
             compute_lambda2(terms.num_congested_cells, d.num_cells(),
-                            gradient_l1(wl.cell_grad),
-                            gradient_l1(cong_grad));
+                            terms.wl_grad_l1, gradient_l1(cong_grad));
     }
 
     // Invariant audit: every gradient term the Nesterov step consumes must

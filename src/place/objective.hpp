@@ -44,6 +44,14 @@ public:
     PlacementObjective(BinGrid grid, DensityConfig density_cfg,
                        NetMovingConfig netmove_cfg, double gamma);
 
+    /// Build the per-run state for `d`: one pin-slot layout that the WA and
+    /// net-moving kernels share, their term buffers, and the fixed cells'
+    /// density. Every later evaluate() must pass `d` or a design with its
+    /// netlist and fixed cells (movable positions may differ); the state
+    /// dies with this objective. Without a call, every evaluate() builds
+    /// that state itself, with the same bits.
+    void bind(const Design& d);
+
     // --- state plugged in by the placer / routability loop ----------------
     void set_gamma(double g) { wa_.set_gamma(g); }
     double gamma() const { return wa_.gamma(); }

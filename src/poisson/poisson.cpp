@@ -12,11 +12,15 @@ namespace rdp {
 
 namespace {
 
-/// Chunk plans for the batched row loops. Grain 1: a row transform is
-/// O(n log n), plenty of work per chunk; the plan depends on the grid
-/// dimensions only, never on the thread count.
+/// Rows per band of the batched row loops (and of the spectral pass). A
+/// band of fewer rows costs more to hand to a worker than it saves: 32²
+/// and 64² grids solve on the calling thread, 128² in 2 bands and 256² in
+/// 4. The plan depends on the grid dimensions only, never on the thread
+/// count, and rows are independent, so the bits do not depend on it.
+constexpr size_t kBandRows = 64;
+
 par::ChunkPlan band_plan(int rows) {
-    return par::plan(static_cast<size_t>(rows), 1);
+    return par::plan(static_cast<size_t>(rows), kBandRows);
 }
 
 }  // namespace
@@ -116,7 +120,8 @@ void PoissonSolver::apply_spectral(GridF& ta, GridF* tb,
                                    double charge_scale) const {
     assert(ta.width() == h_ && ta.height() == w_);
     if (tb && (tb->width() != h_ || tb->height() != w_)) tb->resize(h_, w_);
-    par::parallel_for(static_cast<size_t>(w_), 1, [&](size_t ub, size_t ue) {
+    par::parallel_for(static_cast<size_t>(w_), kBandRows,
+                      [&](size_t ub, size_t ue) {
         for (size_t ui = ub; ui < ue; ++ui) {
             const int u = static_cast<int>(ui);
             const double* sm = spec_.data() + static_cast<size_t>(u) * h_;

@@ -48,12 +48,13 @@ void grid_transpose_into(const GridF& src, GridF& dst,
 
     constexpr int block = 32;  // tile edge: a 32 x 32 tile fits in L1
     const int row_blocks = (w + block - 1) / block;
-    // Each task owns a band of dst rows; inner tiles keep both the strided
-    // src reads and the contiguous dst writes within cache-sized footprints.
-    // Every dst element is written exactly once, so the result is identical
-    // for any block size and any thread count.
+    // Each task owns a band of at least 64 dst rows (2 blocks; a smaller
+    // grid is transposed on the calling thread); inner tiles keep both the
+    // strided src reads and the contiguous dst writes within cache-sized
+    // footprints. Every dst element is written exactly once, so the result
+    // is identical for any block size and any thread count.
     par::parallel_for(
-        static_cast<size_t>(row_blocks), 1, [&](size_t cb, size_t ce) {
+        static_cast<size_t>(row_blocks), 2, [&](size_t cb, size_t ce) {
             for (size_t rb = cb; rb < ce; ++rb) {
                 const int i0 = static_cast<int>(rb) * block;
                 const int i1 = std::min(i0 + block, w);

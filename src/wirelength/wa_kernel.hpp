@@ -132,4 +132,57 @@ double wa_1d_core(const double* xs, size_t n, double gamma, double* wp,
     return fp - fm;
 }
 
+/// Lane-per-net form of wa_1d_core for nets of degree N (2 <= N <= 4):
+/// x[j] holds pin j of four nets, one net per lane. Writes
+/// grad[j] = d(WA_1d)/d(x[j]) and returns smooth-max minus smooth-min, per
+/// lane.
+///
+/// Each lane repeats wa_1d_core's arithmetic for its net op for op, so the
+/// bits equal wa_1d_core's on every backend. For n <= 4 that core keeps
+/// pin j in lane j of one vector: its min/max fold reduces to the scan
+/// below, its exp/sum pass gives pin j's lane (0 + w_j, x_j * w_j + 0)
+/// and +0.0 in the dead lanes N..3, and reduce_add then sums the lanes as
+/// (l0 + l2) + (l1 + l3). Pass 2 is elementwise in both.
+template <typename V, int N>
+V wa_lanes(const V (&x)[N], double gamma, V (&grad)[N]) {
+    static_assert(N >= 2 && N <= simd::kLanes);
+    V xmax = x[0], xmin = x[0];
+    for (int j = 1; j < N; ++j) {
+        xmax = vmax(x[j], xmax);  // xs[j] > xmax ? xs[j] : xmax
+        xmin = vmin(x[j], xmin);
+    }
+
+    const double inv_gamma = 1.0 / gamma;
+    const V vinvg = V::set1(inv_gamma);
+    V wp[N], wm[N];
+    // Per-pin lanes of wa_1d_core's four sum vectors; dead pins stay +0.0.
+    V sp[simd::kLanes], ap[simd::kLanes], sm[simd::kLanes], am[simd::kLanes];
+    for (int j = 0; j < simd::kLanes; ++j)
+        sp[j] = ap[j] = sm[j] = am[j] = V::zero();
+    for (int j = 0; j < N; ++j) {
+        wp[j] = simd::stable_exp((x[j] - xmax) * vinvg);
+        wm[j] = simd::stable_exp((xmin - x[j]) * vinvg);
+        sp[j] = V::zero() + wp[j];
+        ap[j] = mul_add(x[j], wp[j], V::zero());
+        sm[j] = V::zero() + wm[j];
+        am[j] = mul_add(x[j], wm[j], V::zero());
+    }
+    const auto tree = [](const V (&l)[simd::kLanes]) {
+        return (l[0] + l[2]) + (l[1] + l[3]);
+    };
+    const V vsp = tree(sp), vap = tree(ap);
+    const V vsm = tree(sm), vam = tree(am);
+    const V fp = vap / vsp;  // smooth max
+    const V fm = vam / vsm;  // smooth min
+
+    const V one = V::set1(1.0);
+    const V visp = one / vsp, vism = one / vsm;
+    for (int j = 0; j < N; ++j) {
+        const V dp = (wp[j] * visp) * (one + (x[j] - fp) * vinvg);
+        const V dm = (wm[j] * vism) * (one - (x[j] - fm) * vinvg);
+        grad[j] = dp - dm;
+    }
+    return fp - fm;
+}
+
 }  // namespace rdp::wa

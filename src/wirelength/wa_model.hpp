@@ -10,13 +10,17 @@
 // coordinate magnitude.
 //
 // evaluate() is parallel over nets with deterministic chunking (see
-// util/parallel.hpp): each chunk accumulates into a private gradient vector
-// and a private total; chunk partials are merged in fixed chunk order, so
-// the result is bitwise identical for any RDP_THREADS value.
+// util/parallel.hpp): each net writes one gradient term per pin slot
+// (db/pin_slots.hpp), each chunk keeps a private total, and every cell
+// gathers its slots with a partial sum closed at each chunk boundary, so
+// the result is bitwise identical for any RDP_THREADS value. Nets of degree
+// 2-4 run four at a time through the lane-per-net kernel wa::wa_lanes.
 
+#include <memory>
 #include <vector>
 
 #include "db/design.hpp"
+#include "db/pin_slots.hpp"
 
 namespace rdp {
 
@@ -47,6 +51,14 @@ public:
     /// WA wirelength of one net (unweighted).
     double net_wa(const Design& d, const Net& net) const;
 
+    /// Evaluate through `slots` from now on, with term buffers this object
+    /// keeps between calls (PlacementObjective::bind). evaluate() then needs
+    /// a design of the layout's netlist shape, and one instance must not
+    /// evaluate concurrently. nullptr (the default): a layout per call.
+    void set_slots(std::shared_ptr<const PinSlots> slots) {
+        slots_ = std::move(slots);
+    }
+
     /// Total weighted WA wirelength and analytic gradient wrt every cell
     /// center. Fixed cells receive gradient entries too; the optimizer simply
     /// ignores them.
@@ -59,7 +71,17 @@ public:
                  WaScratch& scratch) const;
 
 private:
+    /// Per-slot gradient terms and per-net x + y wirelengths.
+    struct Buffers {
+        std::vector<Vec2> terms;
+        std::vector<double> net_wl;
+    };
+    WirelengthResult evaluate_with(const Design& d, const PinSlots& slots,
+                                   Buffers& buf) const;
+
     double gamma_;
+    std::shared_ptr<const PinSlots> slots_;
+    mutable Buffers buf_;
 };
 
 }  // namespace rdp

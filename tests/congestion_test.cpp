@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "congestion/bbox_penalty.hpp"
 #include "congestion/rudy.hpp"
@@ -14,6 +17,8 @@
 #include "congestion/lambda_schedule.hpp"
 #include "congestion/net_moving.hpp"
 #include "congestion/virtual_cell.hpp"
+#include "objective_oracle.hpp"
+#include "util/rng.hpp"
 
 namespace rdp {
 namespace {
@@ -494,6 +499,132 @@ TEST_F(NetMovingFixture, PenaltyPositiveInCongestion) {
     // The virtual cell sits in the hot band where potential is maximal,
     // so C(x,y) > 0.
     EXPECT_GT(res.penalty, 0.0);
+}
+
+// ---- Pin-slot net moving against the per-chunk oracle ----------------------
+
+/// A 32 x 32 congestion map over seeded_netlist's region: random demand
+/// with hot spots, so many G-cells exceed the multi-pin threshold.
+struct SeededCongestion {
+    BinGrid grid{Rect{0, 0, 1000, 1000}, 32, 32};
+    CongestionMap cmap;
+    std::unique_ptr<CongestionField> field;
+
+    explicit SeededCongestion(uint64_t seed) {
+        Rng rng(seed);
+        GridF dmd(32, 32), cap(32, 32, 10.0);
+        for (int y = 0; y < 32; ++y)
+            for (int x = 0; x < 32; ++x)
+                dmd.at(x, y) = rng.uniform(0, 14);
+        for (int h = 0; h < 6; ++h) {
+            const int cx = rng.uniform_int(2, 29), cy = rng.uniform_int(2, 29);
+            for (int y = cy - 2; y <= cy + 2; ++y)
+                for (int x = cx - 2; x <= cx + 2; ++x) dmd.at(x, y) += 12.0;
+        }
+        cap.at(3, 3) = 0.0;  // a blocked G-cell
+        cmap = CongestionMap(grid, dmd, cap);
+        field = std::make_unique<CongestionField>(grid);
+        field->build(cmap);
+    }
+};
+
+void expect_same_result(const NetMovingResult& got,
+                        const NetMovingResult& want, const std::string& what) {
+    EXPECT_TRUE(oracle::same_bits(got.cell_grad, want.cell_grad)) << what;
+    EXPECT_TRUE(oracle::same_bits(got.penalty, want.penalty))
+        << what << ": " << got.penalty << " vs " << want.penalty;
+    EXPECT_EQ(got.num_congested_cells, want.num_congested_cells) << what;
+    EXPECT_EQ(got.virtual_cells_created, want.virtual_cells_created) << what;
+    EXPECT_EQ(got.multi_pin_updates, want.multi_pin_updates) << what;
+}
+
+TEST(NetMovingPinSlotTest, MatchesPerChunkOracleBitwise) {
+    const int saved = par::max_threads();
+    for (const uint64_t seed : {1u, 2u}) {
+        const SeededCongestion cong(seed + 40);
+        Design d = oracle::seeded_netlist(seed);
+        for (const double threshold : {0.7, 0.2, -1.0}) {
+            NetMovingConfig cfg;
+            cfg.multi_pin_congestion_threshold = threshold;
+            const NetMovingGradient per_call(cfg);
+            NetMovingGradient bound(cfg);
+            bound.set_slots(std::make_shared<const PinSlots>(d));
+            Design moved = d;
+            for (int round = 0; round < 2; ++round) {
+                for (const int t : {1, 4}) {
+                    par::set_max_threads(t);
+                    const NetMovingResult want = oracle::net_moving_compute(
+                        per_call, moved, cong.cmap, *cong.field);
+                    // The case must exercise both algorithms.
+                    EXPECT_GT(want.virtual_cells_created, 100);
+                    EXPECT_GT(want.multi_pin_updates, 10);
+                    const std::string what =
+                        "seed " + std::to_string(seed) + " threshold " +
+                        std::to_string(threshold) + " threads " +
+                        std::to_string(t) + " round " + std::to_string(round);
+                    expect_same_result(
+                        per_call.compute(moved, cong.cmap, *cong.field), want,
+                        what + " (per-call layout)");
+                    expect_same_result(
+                        bound.compute(moved, cong.cmap, *cong.field), want,
+                        what + " (bound layout)");
+                }
+                Rng rng(seed + 7);
+                for (Cell& c : moved.cells)
+                    if (c.movable())
+                        c.pos += Vec2{rng.uniform(-20, 20),
+                                      rng.uniform(-20, 20)};
+            }
+        }
+    }
+    par::set_max_threads(saved);
+}
+
+TEST(NetMovingPinSlotTest, MultiPinExtensionKeepsPenaltyAndCounters) {
+    // The extension's per-slot gradient (each MST edge adds w t to its two
+    // endpoint slots) replaced a snapshot/restore of whole-cell sums, so
+    // its gradient bits moved; its penalty and counters did not, and the
+    // gradient agrees to rounding.
+    const SeededCongestion cong(41);
+    const Design d = oracle::seeded_netlist(1);
+    NetMovingConfig cfg;
+    cfg.move_multi_pin_edges = true;
+    const NetMovingGradient nm(cfg);
+    const NetMovingResult want =
+        oracle::net_moving_compute(nm, d, cong.cmap, *cong.field);
+    const NetMovingResult got = nm.compute(d, cong.cmap, *cong.field);
+    EXPECT_TRUE(oracle::same_bits(got.penalty, want.penalty));
+    EXPECT_EQ(got.virtual_cells_created, want.virtual_cells_created);
+    EXPECT_EQ(got.multi_pin_updates, want.multi_pin_updates);
+    double scale = 0.0;
+    for (const Vec2& g : want.cell_grad) scale = std::max(scale, g.norm1());
+    ASSERT_GT(scale, 0.0);
+    for (size_t i = 0; i < got.cell_grad.size(); ++i) {
+        EXPECT_NEAR(got.cell_grad[i].x, want.cell_grad[i].x, 1e-10 * scale);
+        EXPECT_NEAR(got.cell_grad[i].y, want.cell_grad[i].y, 1e-10 * scale);
+    }
+}
+
+TEST(NetMovingPinSlotTest, BoundGradientRejectsAnotherNetlist) {
+    const SeededCongestion cong(41);
+    const Design d = oracle::seeded_netlist(1);
+    NetMovingGradient nm;
+    nm.set_slots(std::make_shared<const PinSlots>(d));
+    const Design other = oracle::seeded_netlist(1, 4501);
+    EXPECT_THROW(nm.compute(other, cong.cmap, *cong.field),
+                 std::invalid_argument);
+}
+
+TEST(CongestionMapTest, StoredGridIsEquation3) {
+    const SeededCongestion cong(3);
+    const CongestionMap& m = cong.cmap;
+    for (int y = 0; y < 32; ++y) {
+        for (int x = 0; x < 32; ++x) {
+            const double want = std::max(m.utilization_at(x, y) - 1.0, 0.0);
+            EXPECT_TRUE(oracle::same_bits(m.congestion_at(x, y), want));
+            EXPECT_TRUE(oracle::same_bits(m.congestion_grid().at(x, y), want));
+        }
+    }
 }
 
 }  // namespace

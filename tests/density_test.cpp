@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "density/electro_density.hpp"
+#include "objective_oracle.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace rdp {
@@ -166,6 +170,40 @@ TEST(DensityTest, PenaltyDropsWhenSpread) {
     const ElectroDensity ed(grid256());
     EXPECT_GT(ed.evaluate(blob_design(clustered)).penalty,
               ed.evaluate(blob_design(spread)).penalty);
+}
+
+TEST(DensityTest, SetFixedGivesPerCallBits) {
+    // set_fixed splats the fixed cells and macros once; every later
+    // evaluate() must give what a per-call splat gives.
+    Design d = oracle::seeded_netlist(5, 300);
+    const BinGrid grid({0, 0, 1000, 1000}, 32, 32);
+    const ElectroDensity per_call(grid);
+    ElectroDensity bound(grid);
+    bound.set_fixed(d);
+    const std::vector<double> ratios(d.cells.size(), 1.3);
+    GridF extra = grid.make_grid();
+    extra.at(3, 4) = 50.0;
+    const int saved = par::max_threads();
+    Rng rng(9);
+    for (int round = 0; round < 2; ++round) {
+        for (const int t : {1, 4}) {
+            par::set_max_threads(t);
+            const DensityResult want = per_call.evaluate(d, &ratios, &extra);
+            const DensityResult got = bound.evaluate(d, &ratios, &extra);
+            EXPECT_TRUE(oracle::same_bits(got.penalty, want.penalty));
+            EXPECT_TRUE(oracle::same_bits(got.overflow, want.overflow));
+            EXPECT_TRUE(oracle::same_bits(got.cell_grad, want.cell_grad));
+            EXPECT_EQ(got.density, want.density);
+        }
+        for (Cell& c : d.cells)
+            if (c.movable())
+                c.pos += Vec2{rng.uniform(-30, 30), rng.uniform(-30, 30)};
+    }
+    par::set_max_threads(saved);
+    // A design with another cell count is refused.
+    Design fewer = d;
+    fewer.cells.pop_back();
+    EXPECT_THROW(bound.evaluate(fewer), std::invalid_argument);
 }
 
 }  // namespace

@@ -3,15 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <limits>
 
 #include "benchgen/generator.hpp"
+#include "congestion/rudy.hpp"
 #include "eval/route_metrics.hpp"
 #include "legal/tetris.hpp"
 #include "place/global_placer.hpp"
 #include "place/objective.hpp"
 #include "place/routability_loop.hpp"
 #include "util/config_error.hpp"
+#include "util/parallel.hpp"
 #include "wirelength/hpwl.hpp"
 
 namespace rdp {
@@ -180,6 +183,133 @@ TEST(ObjectiveTest, GradientCombinesTerms) {
     for (size_t i = 0; i < movable.size(); ++i)
         diff += (g_with_density[i] - g_wl_only[i]).norm1();
     EXPECT_GT(diff, 0.0);
+}
+
+bool same_bits(double a, double b) {
+    return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+bool same_bits(const std::vector<Vec2>& a, const std::vector<Vec2>& b) {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < a.size(); ++i)
+        if (!same_bits(a[i].x, b[i].x) || !same_bits(a[i].y, b[i].y))
+            return false;
+    return true;
+}
+
+/// RUDY's map of `d`, with the demand scaled up until it congests.
+CongestionMap hot_map(const Design& d, const BinGrid& grid) {
+    const CongestionMap m = rudy_congestion(d, grid);
+    GridF dmd = m.demand();
+    for (double& v : dmd) v *= 4.0;
+    return CongestionMap(grid, dmd, m.capacity());
+}
+
+/// One objective run on a design: `steps` plain gradient steps from the
+/// design's positions, with the net-moving term on a RUDY map. Records
+/// every gradient and the terms that feed the schedules.
+struct ObjectiveRun {
+    Design d;
+    std::vector<int> movable;
+    std::vector<Vec2> pos;
+    BinGrid grid;
+    CongestionMap cmap;
+    std::unique_ptr<CongestionField> field;
+    PlacementObjective obj;
+    std::vector<std::vector<Vec2>> grads;
+    std::vector<double> terms;
+
+    ObjectiveRun(uint64_t seed, bool bind)
+        : d(generate_circuit(small_cfg(seed))),
+          movable(d.movable_cells()),
+          pos(d.positions(movable)),
+          grid(d.region, 32, 32),
+          cmap(hot_map(d, grid)),
+          field(std::make_unique<CongestionField>(grid)),
+          obj(grid, {}, {}, 4.0 * grid.bin_w()) {
+        field->build(cmap);
+        obj.set_lambda1(0.5);
+        obj.set_congestion(&cmap, field.get());
+        if (bind) obj.bind(d);
+    }
+
+    void step() {
+        std::vector<Vec2> g;
+        const ObjectiveTerms t = obj.evaluate(d, movable, pos, g);
+        for (size_t i = 0; i < pos.size(); ++i) pos[i] -= g[i] * 1e-3;
+        grads.push_back(std::move(g));
+        terms.insert(terms.end(), {t.wirelength, t.density, t.congestion,
+                                   t.lambda2, t.wl_grad_l1,
+                                   t.density_grad_l1,
+                                   static_cast<double>(t.num_congested_cells)});
+    }
+};
+
+void expect_same_run(const ObjectiveRun& a, const ObjectiveRun& b) {
+    ASSERT_EQ(a.grads.size(), b.grads.size());
+    for (size_t k = 0; k < a.grads.size(); ++k)
+        EXPECT_TRUE(same_bits(a.grads[k], b.grads[k])) << "step " << k;
+    ASSERT_EQ(a.terms.size(), b.terms.size());
+    for (size_t k = 0; k < a.terms.size(); ++k)
+        EXPECT_TRUE(same_bits(a.terms[k], b.terms[k])) << "term " << k;
+}
+
+TEST(ObjectiveTest, BoundStateGivesPerCallBits) {
+    // bind() builds the pin-slot layout, its buffers and the fixed density
+    // once; evaluating through them must give the per-call bits.
+    const int saved = par::max_threads();
+    for (const int t : {1, 4}) {
+        par::set_max_threads(t);
+        ObjectiveRun per_call(7, false), bound(7, true);
+        for (int k = 0; k < 4; ++k) {
+            per_call.step();
+            bound.step();
+        }
+        expect_same_run(per_call, bound);
+        EXPECT_GT(bound.terms[2], 0.0);  // the net-moving term is on
+    }
+    par::set_max_threads(saved);
+}
+
+TEST(ObjectiveTest, InterleavedObjectivesKeepTheirBits) {
+    // Two bound objectives on two designs, stepped alternately, give what
+    // each gives alone: the per-run state lives in each objective.
+    ObjectiveRun solo_a(7, true), solo_b(8, true);
+    for (int k = 0; k < 4; ++k) solo_a.step();
+    for (int k = 0; k < 4; ++k) solo_b.step();
+    ObjectiveRun a(7, true), b(8, true);
+    for (int k = 0; k < 4; ++k) {
+        a.step();
+        b.step();
+    }
+    expect_same_run(a, solo_a);
+    expect_same_run(b, solo_b);
+}
+
+TEST(PlacerTest, InterleavedPlacersKeepTheirBits) {
+    // Two placers on two designs, run A B A B in one process: each run
+    // gives the placement its first run gave.
+    const Design da = generate_circuit(small_cfg(7));
+    const Design db = generate_circuit(small_cfg(8));
+    PlacerConfig cfg_b = fast_cfg(PlacerMode::Ours);
+    cfg_b.use_rudy_congestion = true;
+    const GlobalPlacer pa(fast_cfg(PlacerMode::Ours)), pb(cfg_b);
+    std::vector<Vec2> first_a, first_b;
+    for (int round = 0; round < 2; ++round) {
+        const PlaceResult ra = pa.place(da);
+        const PlaceResult rb = pb.place(db);
+        const std::vector<Vec2> got_a =
+            ra.placed.positions(ra.placed.movable_cells());
+        const std::vector<Vec2> got_b =
+            rb.placed.positions(rb.placed.movable_cells());
+        if (round == 0) {
+            first_a = got_a;
+            first_b = got_b;
+            continue;
+        }
+        EXPECT_TRUE(same_bits(got_a, first_a));
+        EXPECT_TRUE(same_bits(got_b, first_b));
+    }
 }
 
 TEST(RoutabilityStageTest, StandaloneRunImprovesOrHoldsOverflow) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <utility>
 
 #include "fft/dct.hpp"
@@ -328,6 +329,36 @@ TEST(PoissonWorkspaceTest, BitwiseDeterministicAcrossThreadCounts) {
         EXPECT_EQ(runs[0].field_x, runs[i].field_x) << "run " << i;
         EXPECT_EQ(runs[0].field_y, runs[i].field_y) << "run " << i;
     }
+}
+
+TEST(PoissonWorkspaceTest, BandPlanKeepsBitsAcrossThreadCounts) {
+    // Bands hold at least 64 rows: 32² and 64² solve on the calling thread,
+    // 128² in 2 bands and 256² in 4. Any thread count gives the same bits.
+    const int saved = par::max_threads();
+    for (const int n : {32, 64, 128, 256}) {
+        PoissonSolver solver(n, n);
+        const GridF rho = random_density(n, n, 70u + static_cast<unsigned>(n));
+        std::vector<PoissonSolution> runs;
+        for (const int t : {1, 2, 3, 4, 7}) {
+            par::set_max_threads(t);
+            PoissonWorkspace ws;
+            runs.push_back(solver.solve(rho, ws, 0.5));
+        }
+        const auto same_bits = [](const GridF& a, const GridF& b) {
+            return a.size() == b.size() &&
+                   std::memcmp(a.data(), b.data(),
+                               a.size() * sizeof(double)) == 0;
+        };
+        for (size_t i = 1; i < runs.size(); ++i) {
+            EXPECT_TRUE(same_bits(runs[0].potential, runs[i].potential))
+                << n << "² run " << i;
+            EXPECT_TRUE(same_bits(runs[0].field_x, runs[i].field_x))
+                << n << "² run " << i;
+            EXPECT_TRUE(same_bits(runs[0].field_y, runs[i].field_y))
+                << n << "² run " << i;
+        }
+    }
+    par::set_max_threads(saved);
 }
 
 // Full-solution reference built from the O(N^2) naive transforms with the
